@@ -12,6 +12,7 @@ lifted matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .curves import CurveCase, NotApplicable, multiplier
 from .poly import BivarPoly, RationalElem, UnivarPoly, normal_low
@@ -65,9 +66,6 @@ class Basis:
 
     def __len__(self):
         return len(self.elements)
-
-    def index_of(self, label):
-        return self.labels().index(label)
 
 
 def _mono_label(i, j):
@@ -137,8 +135,8 @@ def _pattern_ymajor(k):
     return out
 
 
-def _p16_family_elements(k):
-    """1, x+1, x^2-1, x(x^2-1), ..., x^(k-2)(x^2-1), yx^j, y^2x^j."""
+def _shifted_x_elements(k):
+    """1, x+1, x^2-1, x(x^2-1), ..., x^(k-2)(x^2-1)."""
     els = [
         BasisElement.monomial(0, 0),
         BasisElement.poly(_M(1, 0) + _C(1.0), "x+1"),
@@ -147,6 +145,12 @@ def _p16_family_elements(k):
         els.append(
             BasisElement.poly(_M(j, 0) - _M(j - 2, 0), f"x^{j}-x^{j-2}" if j > 2 else "x^2-1")
         )
+    return els
+
+
+def _p16_family_elements(k):
+    """_shifted_x_elements, then yx^j (j < k), y^2x^j (j < k-1)."""
+    els = _shifted_x_elements(k)
     for j in range(0, k):
         els.append(BasisElement.monomial(j, 1))
     for j in range(0, k - 1):
@@ -185,16 +189,7 @@ def basis_Bk(case: CurveCase, k: int) -> Basis:
         pairs.append((k - 1, 1))
         els = _monos(pairs)
     elif cid == "P20":
-        els = [
-            BasisElement.monomial(0, 0),
-            BasisElement.poly(_M(1, 0) + _C(1.0), "x+1"),
-        ]
-        for j in range(2, k + 1):
-            els.append(
-                BasisElement.poly(
-                    _M(j, 0) - _M(j - 2, 0), f"x^{j}-x^{j-2}" if j > 2 else "x^2-1"
-                )
-            )
+        els = _shifted_x_elements(k)
         for j in range(1, k):
             els += [BasisElement.monomial(0, j), BasisElement.monomial(1, j)]
         els.append(BasisElement.monomial(0, k))
@@ -395,6 +390,11 @@ class UnivariateLift:
 
 
 def combined_lift(case: CurveCase, k: int) -> UnivariateLift:
+    return _combined_lift_cached(case, k)
+
+
+@lru_cache(maxsize=512)
+def _combined_lift_cached(case, k):
     _check_k(case, k)
     cid = case.id
     if not case.is_constructive():
@@ -429,14 +429,10 @@ def combined_lift(case: CurveCase, k: int) -> UnivariateLift:
         return UnivariateLift(case, k, tuple(els), tuple(nums), one, b_drop, v_drop, unknown)
 
     if cid in ("P4", "P5"):
+        # 1, then V^(k): the rational element over t and the pullback chain
         sign = -1.0 if cid == "P4" else 1.0
-        den = _M(1, 0) - _C(1.0) if cid == "P4" else _M(1, 0)
-        lbl = "y/(x-1)" if cid == "P4" else "y/x"
-        els = [BasisElement.monomial(0, 0), BasisElement.rational(_M(0, 1), den, lbl)]
-        nums = [one, T]
-        for j in range(2, 3 * k + 1):
-            els.append(_chain_element(case, j, sign))
-            nums.append(tpow(j) + sign * tpow(j - 2))
+        els = [BasisElement.monomial(0, 0)] + list(basis_Vk(case, k).elements)
+        nums = [one, T] + [tpow(j) + sign * tpow(j - 2) for j in range(2, 3 * k + 1)]
         return UnivariateLift(case, k, tuple(els), tuple(nums), one, 1, 0, (0, 1))
 
     if cid == "P6":

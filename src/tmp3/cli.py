@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -59,25 +58,60 @@ def _parse_params(text):
 
 
 def _finite(x):
-    if not math.isfinite(x):
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise InputError(f"expected a number in JSON payload, got {x!r}")
+    try:
+        v = float(x)
+    except OverflowError:
+        raise InputError("number out of range in JSON payload")
+    if not math.isfinite(v):
         raise InputError("non-finite number in JSON payload")
-    return float(x)
+    return v
 
 
-def load_problem(path) -> tuple:
+def _integer(x):
+    v = _finite(x)
+    if v != int(v):
+        raise InputError(f"expected an integer in JSON payload, got {x!r}")
+    return int(v)
+
+
+def _read_json(path, what, kind):
+    """Parsed contents of path, which must hold a JSON value of type kind."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read problem file: {exc}")
+        raise InputError(f"cannot read {what}: {exc}")
+    _expect(data, kind, what)
+    return data
+
+
+def _expect(value, kind, what):
+    if not isinstance(value, kind):
+        raise InputError(f"{what} must be a JSON {'object' if kind is dict else 'list'}")
+
+
+def _records(value, what):
+    """A JSON list of objects."""
+    _expect(value, list, what)
+    for rec in value:
+        _expect(rec, dict, f"each entry of {what}")
+    return value
+
+
+def load_problem(path) -> tuple:
+    data = _read_json(path, "problem file", dict)
     for key in ("case", "k", "moments"):
         if key not in data:
             raise InputError(f"problem file missing field {key!r}")
-    case = make_case(data["case"], data.get("params", {}))
-    k = int(data["k"])
+    params = data.get("params", {})
+    _expect(params, dict, "params")
+    case = make_case(data["case"], {name: _finite(v) for name, v in params.items()})
+    k = _integer(data["k"])
     beta = {}
-    for rec in data["moments"]:
-        beta[(int(rec["i"]), int(rec["j"]))] = _finite(rec["v"])
+    for rec in _records(data["moments"], "moments"):
+        beta[(_integer(rec["i"]), _integer(rec["j"]))] = _finite(rec["v"])
     try:
         L = MomentSequence(case, k, beta)
     except IncompleteMoments as exc:
@@ -112,7 +146,8 @@ def poly_to_json(p: BivarPoly):
 
 
 def poly_from_json(data):
-    return BivarPoly({(int(r["i"]), int(r["j"])): _finite(r["v"]) for r in data})
+    return BivarPoly({(_integer(r["i"]), _integer(r["j"])): _finite(r["v"])
+                      for r in _records(data, "polynomial")})
 
 
 def checks_to_json(dec):
@@ -139,7 +174,6 @@ def _tolerances(args):
 
 
 def cmd_solve(args):
-    t0 = time.perf_counter()
     L, _ = load_problem(args.input)
     tol = _tolerances(args)
     try:
@@ -180,7 +214,6 @@ def cmd_solve(args):
             report["witness"] = poly_to_json(p)
         except NoWitness:
             pass
-    report["timings"] = {"total_s": time.perf_counter() - t0}
     _write_report(report, args.out)
     return dec.exit_code()
 
@@ -243,19 +276,21 @@ def cmd_witness(args):
 
 def cmd_certify(args):
     case = make_case(args.case, _parse_params(args.params))
-    with open(args.poly) as fh:
-        p = poly_from_json(json.load(fh))
-    with open(args.cert) as fh:
-        cdata = json.load(fh)
-    k = int(cdata.get("k", args.k or 0))
+    p = poly_from_json(_read_json(args.poly, "polynomial file", list))
+    cdata = _read_json(args.cert, "certificate file", dict)
+    k = _integer(cdata.get("k", args.k or 0))
     if k <= 0:
         return _fail("certificate file must carry a positive k")
 
     def load_gram(key, labels):
-        if cdata.get(key) is None:
+        rows = cdata.get(key)
+        if rows is None:
             return None
-        m = np.asarray(cdata[key], dtype=float)
-        return SymmetricForm(labels, m)
+        n = len(labels)
+        if not (isinstance(rows, list) and len(rows) == n
+                and all(isinstance(r, list) and len(r) == n for r in rows)):
+            raise InputError(f"{key} must be a {n} x {n} matrix")
+        return SymmetricForm(labels, np.array([[_finite(v) for v in r] for r in rows]))
 
     form = cdata.get("form", "v1")
     g0 = load_gram("gram0", basis_Bk(case, k).labels())

@@ -1,16 +1,17 @@
 """Catalog of the 29 canonical plane-cubic cases.
 
-Each case id P1..P29 carries: parameter constraints, the defining cubic,
-rewrite rules modulo the curve ideal, a rational parametrization (where
-one exists), the positivity multiplier with its selected cubic root, and
-sign flags for the reducible cases whose line and conic meet in non-real
-points.
+Each case id P1..P29 carries: parameter constraints, the defining cubic
+(its rewrite rules modulo the curve ideal are the cubic solved for one head
+monomial), a rational parametrization (where one exists), the positivity
+multiplier with its selected cubic root, and sign flags for the reducible
+cases whose line and conic meet in non-real points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -182,17 +183,14 @@ class CurveCase:
         return _factors(self.id, self.params)
 
     def rewrite_rule(self):
-        return _rewrite_rule(self.id, self.params, low=False)
+        return _rewrite_rule(self, False)
 
     def low_rewrite_rule(self):
-        return _rewrite_rule(self.id, self.params, low=True)
+        return _rewrite_rule(self, True)
 
     @property
     def k_min(self):
         return _K_MIN.get(self.id, 2)
-
-    def is_reducible(self):
-        return int(self.id[1:]) >= 14
 
     def is_v2(self):
         return self.id in CHI_CASES
@@ -210,9 +208,6 @@ class CurveCase:
 
     def multiplier(self):
         return multiplier(self)
-
-    def chi_flags(self, n=200, seed=0):
-        return chi_flags(self, n=n, seed=seed)
 
     def sample_points(self, n, seed=0, spread=1.5):
         return sample_points(self, n, seed=seed, spread=spread)
@@ -373,84 +368,29 @@ def _factors(cid, p):
     raise InvalidParams(cid)
 
 
-def _rewrite_rule(cid, p, low):
-    """(head exponent pair, right-hand side) with head = rhs on the curve."""
-    if cid in ("P1", "P2", "P3", "P4", "P5"):
-        a_b = {
-            "P1": (p.get("a", 0) + p.get("b", 0), p.get("a", 0) * p.get("b", 0)),
-            "P2": (0.0, p.get("c", 0.0) ** 2),  # y^2 = x^3 + c^2 x
-            "P3": (0.0, 0.0),
-            "P4": (2.0, 1.0),
-            "P5": (1.0, 0.0),
-        }[cid]
-        s, q = a_b  # cubic is x^3 - s*x^2 + q*x
-        if low:
-            return (3, 0), _M(0, 2) + _M(2, 0, s) - _M(1, 0, q)
-        return (0, 2), _M(3, 0) - _M(2, 0, s) + _M(1, 0, q)
-    if cid == "P6":
-        a, d, e = p["a"], p["d"], p["e"]
-        return (1, 2), _M(0, 1, -a) + _M(1, 0, d) + _C(e)
-    if cid == "P7":
-        a, d, e = p["a"], p["d"], p["e"]
-        return (1, 2), _M(0, 1, -a) + _M(2, 0) + _M(1, 0, d) + _C(e)
-    if cid == "P8":
-        c, d, e = p["c"], p["d"], p["e"]
-        return (1, 2), _M(3, 0) + _M(2, 0, c) + _M(1, 0, d) + _C(e)
-    if cid == "P9":
-        c, d, e = p["c"], p["d"], p["e"]
-        return (1, 2), _M(3, 0, -1.0) + _M(2, 0, c) + _M(1, 0, d) + _C(e)
-    if cid == "P10":
-        a, c, d, e = p["a"], p["c"], p["d"], p["e"]
-        return (1, 2), _M(0, 1, -a) + _M(3, 0) + _M(2, 0, c) + _M(1, 0, d) + _C(e)
-    if cid == "P11":
-        a, c, d, e = p["a"], p["c"], p["d"], p["e"]
-        return (1, 2), _M(0, 1, -a) - _M(3, 0) + _M(2, 0, c) + _M(1, 0, d) + _C(e)
-    if cid == "P12":
-        c2, c1, c0 = p["c2"], p["c1"], p["c0"]
-        return (3, 0), _M(1, 1) - _M(2, 0, c2) - _M(1, 0, c1) - _C(c0)
-    if cid == "P13":
-        return (3, 0), _Y()
-    if cid == "P14":
-        a = p["a"]
-        return (0, 3), _M(0, 2, -a) - _M(2, 1)
-    if cid == "P15":
-        a = p["a"]
-        return (2, 1), _M(0, 1, -1.0) + _M(0, 2, -a) + _M(0, 3, -1.0)
-    if cid == "P16":
-        a = p["a"]
-        return (2, 1), _M(0, 1) + _M(0, 2, a) - _M(0, 3)
-    if cid == "P17":
-        return (2, 1), _M(0, 2)
-    if cid == "P18":
-        return (0, 3), _M(1, 1)
-    if cid == "P19":
-        return (2, 1), _M(0, 1, -1.0) - _M(0, 2)
-    if cid == "P20":
-        return (2, 1), _M(0, 1) + _M(0, 2)
-    if cid == "P21":
-        return (1, 2), _Y()
-    if cid == "P22":
-        a = p["a"]
-        return (1, 2), _M(1, 1, -1.0 / a) + _M(0, 2, -1.0 / a)
-    if cid == "P23":
-        a = p["a"]
-        return (0, 3), _M(0, 2, a) + _M(2, 1)
-    if cid == "P24":
-        a = p["a"]
-        return (2, 1), _M(0, 3) - _M(0, 2, a) - _M(0, 1)
-    if cid == "P25":
-        a = p["a"]
-        return (2, 1), _M(0, 1) + _M(0, 2, a) + _M(0, 3)
-    if cid == "P26":
-        a, b = p["a"], p["b"]
-        return (0, 3), _M(0, 2, -(a + b)) - _M(0, 1, a * b)
-    if cid == "P27":
-        return (2, 1), _M(0, 3)
-    if cid == "P28":
-        return (1, 2), _M(1, 1, -1.0)
-    if cid == "P29":
-        return (0, 3), _M(2, 1) + _M(0, 2, 2.0) - _M(0, 1)
-    raise InvalidParams(cid)
+#: the monomial each defining cubic is solved for; P1-P5 carry (high, low):
+#: y^2 for reduce_on_curve and the degree-minimal x^3 for normal_low
+_HEADS = {
+    **dict.fromkeys(("P1", "P2", "P3", "P4", "P5"), ((0, 2), (3, 0))),
+    **dict.fromkeys(("P6", "P7", "P8", "P9", "P10", "P11", "P21", "P22", "P28"), (1, 2)),
+    **dict.fromkeys(("P12", "P13"), (3, 0)),
+    **dict.fromkeys(("P14", "P18", "P23", "P26", "P29"), (0, 3)),
+    **dict.fromkeys(("P15", "P16", "P17", "P19", "P20", "P24", "P25", "P27"), (2, 1)),
+}
+
+
+@lru_cache(maxsize=512)
+def _rewrite_rule(case, low):
+    """(head, rhs) with head = rhs on the curve: the defining cubic solved for head.
+
+    Cached per case (CurveCase hashes and compares by its key).
+    """
+    head = _HEADS[case.id]
+    if isinstance(head[0], tuple):
+        head = head[1 if low else 0]
+    P = case.defining_poly()
+    c = P.coeffs[head]
+    return head, BivarPoly({m: -v / c for m, v in P.coeffs.items() if m != head})
 
 
 # ---------------------------------------------------------------------------
@@ -646,35 +586,21 @@ def multiplier(case: CurveCase) -> Multiplier:
 # Sign flags for the non-real-intersection reducible cases
 
 
-def chi_flags(case: CurveCase, n=200, seed=0):
-    """(chi1, chi2): signs of the line factor on the conic and vice versa."""
+def chi_flags(case: CurveCase):
+    """(chi1, chi2): signs of the line factor on the conic and vice versa.
+
+    On the line y = 0 every conic factor equals 1 + x^2 > 0, so chi2 = 1.
+    On the P15 ellipse x^2 + (y + a/2)^2 = a^2/4 - 1 (|a| > 2) y has the
+    sign of -a; on the P19 conic y = -1 - x^2 < 0; the two y-roots of the
+    P24 hyperbola multiply to -(1 + x^2), so y takes both signs there.
+    """
     if case.id not in CHI_CASES:
         raise NotApplicable(f"chi flags undefined for {case.id}")
-    f1, f2 = case.factors()
-    par = parametrization(case)
-    rng = np.random.default_rng(seed)
-    ts = np.tan(np.pi * (rng.random(n) - 0.5) * 0.98)
-
-    conic = par.components[1]
-    vals1 = []
-    for t in ts:
-        if any(abs(t - ex) < 1e-6 for ex in conic.excluded_t):
-            continue
-        vals1.append(f1.eval(conic.x_at(t), conic.y_at(t)))
-    vals1 = np.asarray(vals1)
-    s1 = max(1.0, np.max(np.abs(vals1)))
-    if np.all(vals1 > -1e-9 * s1) and np.any(vals1 > 1e-9 * s1):
-        chi1 = 1
-    elif np.all(vals1 < 1e-9 * s1) and np.any(vals1 < -1e-9 * s1):
-        chi1 = -1
+    if case.id == "P15":
+        chi1 = -1 if case.params["a"] > 0 else 1
     else:
-        chi1 = 0
-
-    line = par.components[0]
-    vals2 = np.asarray([f2.eval(line.x_at(t), line.y_at(t)) for t in ts])
-    s2 = max(1.0, np.max(np.abs(vals2)))
-    chi2 = 1 if np.all(vals2 > -1e-9 * s2) else -1
-    return chi1, chi2
+        chi1 = {"P19": -1, "P24": 0}[case.id]
+    return chi1, 1
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,6 @@ class SymmetricForm:
     def size(self):
         return self.entries.shape[0]
 
-    def is_partial(self):
-        return self.unknown is not None
-
     def with_value(self, v):
         """Instantiate the unknown pair with v."""
         if self.unknown is None:
@@ -137,19 +134,6 @@ def numeric_rank(M, tol=None):
     if s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))
-
-
-def rank_gap(M, tol=None):
-    """(rank, relative gap between retained and discarded singular values)."""
-    M = _as_matrix(M)
-    tol = DEFAULT_TOL.rank if tol is None else tol
-    s = np.linalg.svd(M, compute_uv=False)
-    if M.size == 0 or s[0] == 0.0:
-        return 0, math.inf
-    r = int(np.sum(s > tol * s[0]))
-    if r == len(s) or r == 0:
-        return r, math.inf
-    return r, float(s[r - 1] / s[r])
 
 
 def kernel_basis(M, tol=None):

@@ -250,7 +250,7 @@ def extract(L: MomentSequence, opts: ExtractOptions | None = None,
     ivl_psd = moment.completion_interval_for(Lwork, mode="psd")
     if ivl_psd.empty:
         raise ExtractionFailed("no psd completion of the lifted matrix")
-    excluded = _excluded_atom_params(case)
+    excluded = parametrization(case).components[0].excluded_t
     errors = []
     for v in _completion_candidates(ivl_pd, ivl_psd, opts):
         try:
@@ -275,20 +275,6 @@ def extract(L: MomentSequence, opts: ExtractOptions | None = None,
     raise ExtractionFailed(
         "no completion point produced an admissible measure: " + "; ".join(errors[:4])
     )
-
-
-def _excluded_atom_params(case: CurveCase):
-    if case.id == "P6":
-        d = case.params["d"]
-        if d > 0:
-            r = math.sqrt(d)
-            return (r, -r)
-        if d == 0:
-            return (0.0,)
-        return ()
-    if case.id == "P12":
-        return (0.0,)
-    return ()
 
 
 def _atoms_on_curve(case, k, lift, pairs, o_weight):
@@ -335,13 +321,12 @@ def generate_measure(case: CurveCase, n_atoms: int, k: int, seed=0,
     """
     rng = np.random.default_rng(seed)
     dens = _pole_denominators(case, k)
-    excluded = _excluded_atom_params(case)
     atoms = []
     if case.has_parametrization():
         comps = parametrization(case).components
         per_comp = _component_allocation(case, comps, n_atoms)
         def point_ok(comp, t):
-            if any(abs(t - ex) < 0.3 for ex in tuple(comp.excluded_t) + tuple(excluded)):
+            if any(abs(t - ex) < 0.3 for ex in comp.excluded_t):
                 return False
             if abs(comp.x_den.eval(t)) < 5e-2 or abs(comp.y_den.eval(t)) < 5e-2:
                 return False

@@ -430,54 +430,45 @@ def _rank_eq(Mfull, Msub, tol):
 def _decide_lift_singular(L, checks, tol):
     """Singular branches for P4, P6 and P12 via lift-basis rank equalities."""
     case = L.case
-    lift, rows_B, rows_V = _lift_rows(L)
+    _, rows_B, rows_V = _lift_rows(L)
     PM = lift_matrix(L)
     MBl = PM.restrict(rows_B).known()
     MVl = PM.restrict(rows_V).known()
-    branch = None
 
     def sub(rows, drop_label_idx):
         rows2 = [r for r in rows if r != drop_label_idx]
         return PM.restrict(rows2).known()
 
-    last = PM.size - 1
-    if case.id in ("P4", "P6", "P12"):
-        if case.id == "P12":
-            # drop the top q-element (index 0) resp. the top tilde element (1)
-            okA, gA = _rank_eq(MBl, sub(rows_B, 0), tol)
-            okB, gB = _rank_eq(MVl, sub(rows_V, 1), tol)
-        elif case.id == "P4":
-            okA, gA = _rank_eq(MBl, sub(rows_B, last), tol)
-            okB, gB = _rank_eq(MVl, sub(rows_V, last), tol)
-        else:  # P6: drop y^k (the final column) from either side
-            okA, gA = _rank_eq(MBl, sub(rows_B, last), tol)
-            okB, gB = _rank_eq(MVl, sub(rows_V, last), tol)
-        checks.append(Check("rank_restriction_B", "rank-eq", okA, gA))
-        checks.append(Check("rank_restriction_V", "rank-eq", okB, gB))
-        passed = okA or okB
-        branch = "rank_B" if okA else ("rank_V" if okB else "")
-        if case.id == "P6":
-            d = case.params["d"]
-            if d == 0.0:
-                okU, gU = _rank_eq(MBl, sub(rows_B, 0), tol)
-                checks.append(Check("rank_restriction_drop_xk", "rank-eq", okU, gU))
-                passed = okU and (okA or okB)
-            elif d > 0.0:
-                ok_root, margin = _p6_root_avoidance(L, tol)
-                checks.append(Check("root_avoidance_sqrt_d", "root-avoidance",
-                                    ok_root, margin))
-                passed = passed and ok_root
-        if passed:
-            dec = Decision("MomentFunctional", checks)
-            dec.singular_branch = branch
-            dec.completion_interval = completion_interval_for(L, mode="psd")
-            return dec
-        dec = Decision("Inconclusive", checks)
-        dec.note = "psd but the singular rank conditions fail; by the case theorem " \
-                   "this indicates no representing measure (reported conservatively)"
+    if case.id == "P12":
+        # drop the top q-element (index 0) resp. the top tilde element (1)
+        drop_B, drop_V = 0, 1
+    else:  # P4, P6: drop the last element (y^k for P6) from either side
+        drop_B = drop_V = PM.size - 1
+    okA, gA = _rank_eq(MBl, sub(rows_B, drop_B), tol)
+    okB, gB = _rank_eq(MVl, sub(rows_V, drop_V), tol)
+    checks.append(Check("rank_restriction_B", "rank-eq", okA, gA))
+    checks.append(Check("rank_restriction_V", "rank-eq", okB, gB))
+    passed = okA or okB
+    branch = "rank_B" if okA else ("rank_V" if okB else "")
+    if case.id == "P6":
+        d = case.params["d"]
+        if d == 0.0:
+            okU, gU = _rank_eq(MBl, sub(rows_B, 0), tol)
+            checks.append(Check("rank_restriction_drop_xk", "rank-eq", okU, gU))
+            passed = okU and (okA or okB)
+        elif d > 0.0:
+            ok_root, margin = _p6_root_avoidance(L, tol)
+            checks.append(Check("root_avoidance_sqrt_d", "root-avoidance",
+                                ok_root, margin))
+            passed = passed and ok_root
+    if passed:
+        dec = Decision("MomentFunctional", checks)
+        dec.singular_branch = branch
+        dec.completion_interval = completion_interval_for(L, mode="psd")
         return dec
     dec = Decision("Inconclusive", checks)
-    dec.note = "no singular branch for this case"
+    dec.note = "psd but the singular rank conditions fail; by the case theorem " \
+               "this indicates no representing measure (reported conservatively)"
     return dec
 
 

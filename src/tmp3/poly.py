@@ -151,14 +151,6 @@ class BivarPoly:
     def eval(self, x, y):
         return sum(v * x**i * y**j for (i, j), v in self.coeffs.items())
 
-    def subs_x_shift(self, dx):
-        """Substitute x -> x + dx."""
-        out = BivarPoly()
-        for (i, j), v in self.coeffs.items():
-            for r in range(i + 1):
-                out = out + BivarPoly.monomial(r, j, v * math.comb(i, r) * dx ** (i - r))
-        return out
-
     def chop(self, tol):
         """Drop coefficients below tol (absolute)."""
         p = BivarPoly()
@@ -196,13 +188,6 @@ class UnivarPoly:
             c.pop()
         self.coeffs = c
 
-    @staticmethod
-    def from_roots(roots, lead=1.0):
-        c = np.array([lead])
-        for r in roots:
-            c = np.convolve(c, [-r, 1.0])
-        return UnivarPoly(c)
-
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else -math.inf
 
@@ -214,9 +199,6 @@ class UnivarPoly:
         for v in reversed(self.coeffs):
             r = r * t + v
         return r
-
-    def deriv(self):
-        return UnivarPoly([i * v for i, v in enumerate(self.coeffs)][1:])
 
     def __add__(self, other):
         if isinstance(other, (int, float)):

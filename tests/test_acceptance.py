@@ -307,7 +307,7 @@ def test_criterion_8_invariants():
     # chi-flag sign consistency on 200 samples
     for cid in ("P15", "P19", "P24"):
         case = make_case(cid, CASE_PARAMS[cid])
-        c1, c2 = chi_flags(case, n=200)
+        c1, c2 = chi_flags(case)
         f1, f2 = case.factors()
         par = parametrization(case)
         line, conic = par.components[0], par.components[1]

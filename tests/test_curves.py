@@ -97,16 +97,18 @@ class TestChiFlags:
         assert chi_flags(make_case("P19")) == (-1, 1)
 
     def test_p15(self):
-        c1, c2 = chi_flags(make_case("P15", dict(a=-3.0)))
-        assert c2 == 1 and c1 in (-1, 1)
+        assert chi_flags(make_case("P15", dict(a=-3.0))) == (1, 1)
+        assert chi_flags(make_case("P15", dict(a=3.0))) == (-1, 1)
 
     def test_not_applicable(self):
         with pytest.raises(NotApplicable):
             chi_flags(make_case("P4"))
 
-    @pytest.mark.parametrize("cid", ["P15", "P19", "P24"])
-    def test_sign_consistency(self, cid):
-        case = make_case(cid, CASE_PARAMS[cid])
+    @pytest.mark.parametrize("cid, params",
+                             [pytest.param(c, CASE_PARAMS[c], id=c) for c in ("P15", "P19", "P24")]
+                             + [pytest.param("P15", dict(a=3.0), id="P15-a3")])
+    def test_sign_consistency(self, cid, params):
+        case = make_case(cid, params)
         c1, c2 = chi_flags(case)
         f1, f2 = case.factors()
         par = parametrization(case)
