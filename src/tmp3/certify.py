@@ -5,20 +5,23 @@ the degree-k functions and the localizing space; v2 uses the two factor
 multipliers with degree-(k-1) Gram matrices.  Verification is dual:
 dense sampling over curve points always applies, and a symbolic residual
 is reported whenever every cross product has a polynomial representative.
+Both are scaled by the size of their terms (the standard bound on the
+rounding error of a sum), per point and per monomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import linalg
 from .bases import basis_Bk, basis_Rk1, basis_Vk
-from .curves import CurveCase, chi_flags, multiplier, sample_points
+from .curves import CurveCase, chi_flags, multiplier, sample_arrays
 from .linalg import SymmetricForm
 from .moment import _products
-from .poly import BivarPoly, normal_low
+from .poly import BivarPoly, RationalElem, normal_low
 
 
 class ShapeMismatch(ValueError):
@@ -73,10 +76,8 @@ def verify_certificate(p: BivarPoly, cert: Certificate, case: CurveCase, k: int,
                 raise ShapeMismatch("v2 gram size does not match the degree-(k-1) basis")
             if chi == 0:
                 continue
-            from .poly import RationalElem
-
             fac = RationalElem(case.factors()[fi], BivarPoly.const(1.0))
-            terms.append((float(chi), fac, br.elements, g, None))
+            terms.append((float(chi), fac, br.elements, g, f"R{fi}"))
     else:
         raise ShapeMismatch(f"unknown certificate form {cert.form!r}")
 
@@ -84,50 +85,88 @@ def verify_certificate(p: BivarPoly, cert: Certificate, case: CurveCase, k: int,
         if not linalg.is_psd(g.known(), psd_tol):
             raise NotPsd("certificate Gram matrix has a negative eigenvalue")
 
-    pts = sample_points(case, n_samples, seed=11)
-    sampled = 0.0
-    pscale = max(1.0, p.max_abs_coeff())
-    for x, y, _ in pts:
-        total = 0.0
-        usable = True
-        for chi, f, els, g, _ in terms:
-            try:
-                v = np.array([e.eval(x, y) for e in els])
-                fval = 1.0 if f is None else f.eval(x, y)
-            except Exception:
-                usable = False
-                break
-            total += chi * fval * float(v @ g.known() @ v)
-        if usable:
-            sampled = max(sampled, abs(total - p.eval(x, y)) / pscale)
+    return CertificateResidual(_sampled_residual(p, terms, case, n_samples),
+                               _symbolic_residual(p, terms, case, k))
 
-    symbolic = _symbolic_residual(p, terms, case, k)
-    return CertificateResidual(sampled, symbolic)
+
+def _values(rat: RationalElem, X, Y):
+    """(values, pole mask) of rat at the points, by RationalElem.eval's pole rule."""
+    den = rat.denominator
+    d = den.eval(X, Y)
+    scale = 1.0 + den.max_abs_coeff() * (1 + np.abs(X) + np.abs(Y)) ** max(2, den.degree())
+    return rat.numerator.eval(X, Y) / d, np.abs(d) <= 1e-12 * scale
+
+
+def _sampled_residual(p, terms, case, n_samples):
+    """max over the pole-free sample points of |sum of terms - p| / max(1, sum of |terms|)."""
+    X, Y = sample_arrays(case, n_samples, seed=11)
+    total, scale = np.zeros(X.shape), np.zeros(X.shape)
+    for (i, j), c in p.coeffs.items():
+        t = c * X**i * Y**j
+        total, scale = total - t, scale + np.abs(t)
+    pole = np.zeros(X.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for chi, f, els, g, _ in terms:
+            V, bad = map(np.array, zip(*(_values(e.rat, X, Y) for e in els)))
+            fv, fbad = (1.0, False) if f is None else _values(f, X, Y)
+            G = g.known()
+            total += chi * fv * np.sum(V * (G @ V), axis=0)
+            scale += np.abs(fv) * np.sum(np.abs(V) * (np.abs(G) @ np.abs(V)), axis=0)
+            pole |= bad.any(axis=0) | fbad
+        r = np.abs(total) / np.maximum(1.0, scale)
+    return float(np.max(r[~pole], initial=0.0))
+
+
+#: the monomial x^i y^j of a residual operator is keyed i * _KEY + j
+_KEY = 1 << 20
+
+
+@lru_cache(maxsize=512)
+def _operator(case: CurveCase, k: int, term: str):
+    """Residual operator of one term (Bk, Vk or the v2 term Ri over factor i).
+
+    COO over r <= s: entry e adds W[pair_e] * coef_e to monomial key_e, with
+    W = G + G^T - diag G flattened; None when a product has no representative.
+    """
+    if term in ("Bk", "Vk"):
+        prods = _products(case, k, term)
+    else:
+        fac = case.factors()[int(term[1])]
+        nums = [e.rat.numerator for e in basis_Rk1(case, k).elements]
+        prods = [[normal_low(u * v * fac, case).coeffs if s >= r else None
+                  for s, v in enumerate(nums)] for r, u in enumerate(nums)]
+    n = len(prods)
+    pair, key, coef = [], [], []
+    for r in range(n):
+        for s in range(r, n):
+            if prods[r][s] is None:
+                return None
+            for (i, j), c in prods[r][s].items():
+                pair.append(r * n + s)
+                key.append(i * _KEY + j)
+                coef.append(c)
+    return np.array(pair, dtype=np.intp), np.array(key, dtype=np.int64), np.array(coef)
 
 
 def _symbolic_residual(p, terms, case, k):
-    total = BivarPoly.zero()
-    for chi, f, els, g, which in terms:
-        if which in ("Bk", "Vk"):
-            prods = _products(case, k, which)
-        else:
-            prods = None
+    """max over monomials of |sum of contributions - normal_low(p)| / (sum of their |.|)."""
+    keys, vals = [], []
+    for chi, _, _, g, term in terms:
+        op = _operator(case, k, term)
+        if op is None:
+            return None
+        pair, key, coef = op
         G = g.known()
-        n = G.shape[0]
-        for r in range(n):
-            for s in range(n):
-                if prods is not None:
-                    rep = prods[r][s]
-                    if rep is None:
-                        return None
-                    total = total + (chi * G[r, s]) * BivarPoly(rep)
-                else:
-                    q = normal_low(
-                        els[r].rat.numerator * els[s].rat.numerator * f.numerator, case
-                    )
-                    total = total + (chi * G[r, s]) * q
-    diff = normal_low(total - p, case)
-    return diff.max_abs_coeff() / max(1.0, p.max_abs_coeff())
+        keys.append(key)
+        vals.append(chi * (G + G.T - np.diag(np.diag(G))).ravel()[pair] * coef)
+    q = normal_low(p, case).coeffs
+    keys.append(np.array([i * _KEY + j for i, j in q], dtype=np.int64))
+    vals.append(-np.array(list(q.values()), dtype=float))
+    _, m = np.unique(np.concatenate(keys), return_inverse=True)
+    vals = np.concatenate(vals)
+    res = np.abs(np.bincount(m, weights=vals))
+    mag = np.bincount(m, weights=np.abs(vals))
+    return float(np.max(res / np.where(mag > 0, mag, 1.0), initial=0.0))
 
 
 def sos_from_gram(Q: SymmetricForm, basis, tol=1e-12):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg, moment
 from .bases import basis_Bk, basis_Vk, combined_lift
-from .curves import CurveCase, chi_flags, parametrization, sample_points
+from .curves import CurveCase, chi_flags, parametrization, sample_arrays, sample_points
 from .moment import Decision, MomentSequence, decide
 from .poly import BivarPoly, RationalElem, UnsupportedCase, product_on_curve
 
@@ -522,6 +522,5 @@ def _poly_div_exact(den, sub):
 
 def sampled_min_on_curve(p: BivarPoly, case: CurveCase, n=500, seed=3):
     """Minimum of p over n sampled curve points (relative to its scale)."""
-    pts = sample_points(case, n, seed=seed)
-    vals = [p.eval(x, y) for x, y, _ in pts]
-    return min(vals)
+    X, Y = sample_arrays(case, n, seed=seed)
+    return float(np.min(p.eval(X, Y)))

@@ -11,9 +11,9 @@ from tmp3.certify import (
     sos_from_gram,
     verify_certificate,
 )
-from tmp3.curves import chi_flags
+from tmp3.curves import chi_flags, multiplier
 from tmp3.linalg import SymmetricForm
-from tmp3.poly import BivarPoly, normal_low
+from tmp3.poly import BivarPoly, RationalElem, normal_low, product_on_curve
 
 _M = BivarPoly.monomial
 _C = BivarPoly.const
@@ -117,3 +117,98 @@ class TestSosFromGram:
         M = np.diag([1.0, -1.0])
         with pytest.raises(NotPsd):
             sos_from_gram(SymmetricForm(["a", "b"], M), None)
+
+
+def _combination_squares(els, A, f, case, k):
+    """sum over columns l of f * (sum_r A[r, l] els[r])^2 as a polynomial on the curve.
+
+    Plain polynomial squares, left unreduced, when f is None and every element
+    is a polynomial; otherwise each square goes through product_on_curve over
+    the common denominator, never through the checker's product table.
+    """
+    if f is None:
+        out = BivarPoly.zero()
+        for col in A.T:
+            u = sum((float(c) * e.rat.numerator for c, e in zip(col, els)), BivarPoly.zero())
+            out = out + u * u
+        return out
+    dens = {tuple(sorted(e.rat.denominator.coeffs.items())): e.rat.denominator for e in els}
+    common = _C(1.0)
+    for d in dens.values():
+        common = common * d
+    out = BivarPoly.zero()
+    for col in A.T:
+        num = BivarPoly.zero()
+        for c, e in zip(col, els):
+            pad = _C(float(c))
+            for key, d in dens.items():
+                if key != tuple(sorted(e.rat.denominator.coeffs.items())):
+                    pad = pad * d
+            num = num + e.rat.numerator * pad
+        u = RationalElem(num, common)
+        out = out + product_on_curve(u, u, f, case, k)
+    return out
+
+
+def _random_v1_certificate(case, k, seed):
+    """(p, certificate) from random psd Gram matrices A A^T over basis_Bk and basis_Vk."""
+    rng = np.random.default_rng(seed)
+    p, grams = BivarPoly.zero(), []
+    for basis, f in ((basis_Bk(case, k), None), (basis_Vk(case, k), multiplier(case).f)):
+        n = len(basis)
+        A = rng.standard_normal((n, n)) / np.sqrt(n)
+        p = p + _combination_squares(basis.elements, A, f, case, k)
+        grams.append(SymmetricForm(basis.labels(), A @ A.T))
+    return p, Certificate("v1", *grams)
+
+
+def _random_v2_certificate(case, k, seed):
+    """(p, certificate) over basis_Bk and basis_Rk1 with the factor signs."""
+    rng = np.random.default_rng(seed)
+    b0, br = basis_Bk(case, k), basis_Rk1(case, k)
+    A0 = rng.standard_normal((len(b0), len(b0))) / np.sqrt(len(b0))
+    p = _combination_squares(b0.elements, A0, None, case, k)
+    grams = [SymmetricForm(b0.labels(), A0 @ A0.T)]
+    for chi, fac in zip(chi_flags(case), case.factors()):
+        if chi == 0:
+            grams.append(None)
+            continue
+        A = rng.standard_normal((len(br), len(br))) / np.sqrt(len(br))
+        p = p + float(chi) * fac * _combination_squares(br.elements, A, None, case, k)
+        grams.append(SymmetricForm(br.labels(), A @ A.T))
+    return p, Certificate("v2", *grams)
+
+
+# P6 (d = 0), P7, P9 at k = 4 and P11 at k = 2..4 were rejected while the
+# sampled residual was divided only by p's largest coefficient; a shifted
+# P12 certificate at k = 5, 6 nearly passed under that scaling.
+@pytest.mark.parametrize("cid,params,k", [
+    ("P6", dict(a=1.0, d=0.0, e=2.0), 4),
+    ("P7", dict(a=1.0, d=-1.0, e=2.0), 4),
+    ("P9", dict(c=0.5, d=-1.0, e=2.0), 4),
+    ("P11", dict(a=1.0, c=0.5, d=-1.0, e=2.0), 2),
+    ("P11", dict(a=1.0, c=0.5, d=-1.0, e=2.0), 3),
+    ("P11", dict(a=1.0, c=0.5, d=-1.0, e=2.0), 4),
+    ("P12", dict(c2=0.5, c1=-1.0, c0=2.0), 5),
+    ("P12", dict(c2=0.5, c1=-1.0, c0=2.0), 6),
+])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_random_certificate_scale_aware(cid, params, k, seed):
+    case = make_case(cid, params)
+    p, cert = _random_v1_certificate(case, k, seed)
+    assert verify_certificate(p, cert, case, k).ok()
+    assert not verify_certificate(p + 1.0, cert, case, k).ok()
+
+
+@pytest.mark.parametrize("cid,params", [("P15", dict(a=-3.0)), ("P19", {}),
+                                        ("P24", dict(a=-1.0))])
+@pytest.mark.parametrize("k", [2, 3])
+def test_v2_symbolic_residual(cid, params, k):
+    case = make_case(cid, params)
+    p, cert = _random_v2_certificate(case, k, seed=5)
+    res = verify_certificate(p, cert, case, k)
+    assert res.symbolic is not None and res.symbolic < 1e-10
+    assert res.ok()
+    bad = verify_certificate(p + _M(1, 0, 1e-3), cert, case, k)
+    assert bad.symbolic > 1e-5
+    assert not bad.ok()
