@@ -5,8 +5,8 @@ the degree-k functions and the localizing space; v2 uses the two factor
 multipliers with degree-(k-1) Gram matrices.  Verification is dual:
 dense sampling over curve points always applies, and a symbolic residual
 is reported whenever every cross product has a polynomial representative.
-Both are scaled by the size of their terms (the standard bound on the
-rounding error of a sum), per point and per monomial.
+Both are divided by the size of their terms floored at 1 (the standard
+bound on the rounding error of a sum), per point and per monomial.
 """
 
 from __future__ import annotations
@@ -89,14 +89,6 @@ def verify_certificate(p: BivarPoly, cert: Certificate, case: CurveCase, k: int,
                                _symbolic_residual(p, terms, case, k))
 
 
-def _values(rat: RationalElem, X, Y):
-    """(values, pole mask) of rat at the points, by RationalElem.eval's pole rule."""
-    den = rat.denominator
-    d = den.eval(X, Y)
-    scale = 1.0 + den.max_abs_coeff() * (1 + np.abs(X) + np.abs(Y)) ** max(2, den.degree())
-    return rat.numerator.eval(X, Y) / d, np.abs(d) <= 1e-12 * scale
-
-
 def _sampled_residual(p, terms, case, n_samples):
     """max over the pole-free sample points of |sum of terms - p| / max(1, sum of |terms|)."""
     X, Y = sample_arrays(case, n_samples, seed=11)
@@ -107,8 +99,8 @@ def _sampled_residual(p, terms, case, n_samples):
     pole = np.zeros(X.shape, dtype=bool)
     with np.errstate(all="ignore"):
         for chi, f, els, g, _ in terms:
-            V, bad = map(np.array, zip(*(_values(e.rat, X, Y) for e in els)))
-            fv, fbad = (1.0, False) if f is None else _values(f, X, Y)
+            V, bad = map(np.array, zip(*(e.rat.eval_array(X, Y) for e in els)))
+            fv, fbad = (1.0, False) if f is None else f.eval_array(X, Y)
             G = g.known()
             total += chi * fv * np.sum(V * (G @ V), axis=0)
             scale += np.abs(fv) * np.sum(np.abs(V) * (np.abs(G) @ np.abs(V)), axis=0)
@@ -149,7 +141,7 @@ def _operator(case: CurveCase, k: int, term: str):
 
 
 def _symbolic_residual(p, terms, case, k):
-    """max over monomials of |sum of contributions - normal_low(p)| / (sum of their |.|)."""
+    """max over monomials of |sum of contributions - normal_low(p)| / max(1, sum of their |.|)."""
     keys, vals = [], []
     for chi, _, _, g, term in terms:
         op = _operator(case, k, term)
@@ -166,7 +158,7 @@ def _symbolic_residual(p, terms, case, k):
     vals = np.concatenate(vals)
     res = np.abs(np.bincount(m, weights=vals))
     mag = np.bincount(m, weights=np.abs(vals))
-    return float(np.max(res / np.where(mag > 0, mag, 1.0), initial=0.0))
+    return float(np.max(res / np.maximum(mag, 1.0), initial=0.0))
 
 
 def sos_from_gram(Q: SymmetricForm, basis, tol=1e-12):

@@ -644,13 +644,9 @@ def sample_points(case: CurveCase, n, seed=0, spread=1.5):
     return pts
 
 
+@lru_cache(maxsize=256)
 def sample_arrays(case: CurveCase, n, seed=0):
     """Coordinates of sample_points(case, n, seed) as read-only arrays (X, Y), cached."""
-    return _sample_arrays_cached(case.key(), n, seed, case)
-
-
-@lru_cache(maxsize=256)
-def _sample_arrays_cached(case_key, n, seed, case):
     pts = sample_points(case, n, seed=seed)
     X = np.array([x for x, _, _ in pts], dtype=float)
     Y = np.array([y for _, y, _ in pts], dtype=float)

@@ -523,4 +523,4 @@ def _poly_div_exact(den, sub):
 def sampled_min_on_curve(p: BivarPoly, case: CurveCase, n=500, seed=3):
     """Minimum of p over n sampled curve points (relative to its scale)."""
     X, Y = sample_arrays(case, n, seed=seed)
-    return float(np.min(p.eval(X, Y)))
+    return min(map(p.eval, X.tolist(), Y.tolist()))

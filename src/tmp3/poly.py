@@ -240,14 +240,25 @@ class RationalElem:
         if self.denominator.is_zero():
             raise ZeroDivisionError("zero denominator")
 
-    def eval(self, x, y, tol=1e-12):
+    def _denominator_at(self, x, y, tol):
+        """(denominator, pole flag): a pole where |d| <= tol * (size of its terms)."""
         d = self.denominator.eval(x, y)
         scale = 1.0 + self.denominator.max_abs_coeff() * (1 + abs(x) + abs(y)) ** max(
             2, int(self.denominator.degree() if self.denominator.coeffs else 0)
         )
-        if abs(d) <= tol * scale:
+        return d, abs(d) <= tol * scale
+
+    def eval(self, x, y, tol=1e-12):
+        d, pole = self._denominator_at(x, y, tol)
+        if pole:
             raise PoleError(f"denominator vanishes at ({x}, {y})")
         return self.numerator.eval(x, y) / d
+
+    def eval_array(self, X, Y, tol=1e-12):
+        """(values, pole mask) at arrays of points; eval raises PoleError where the mask is set."""
+        d, pole = self._denominator_at(X, Y, tol)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.numerator.eval(X, Y) / d, pole
 
 
 def as_rational(e):

@@ -212,3 +212,26 @@ def test_v2_symbolic_residual(cid, params, k):
     bad = verify_certificate(p + _M(1, 0, 1e-3), cert, case, k)
     assert bad.symbolic > 1e-5
     assert not bad.ok()
+
+
+# An exact sparse Gram matrix plus solver-sized noise (or a tiny diagonal
+# entry) reaches monomials where p has no coefficient: their residual is
+# absolute, not relative to the near-zero contributions alone.
+@pytest.mark.parametrize("noise", ["psd", "diagonal"])
+def test_sparse_gram_with_tiny_entries(noise):
+    case = make_case("P4")
+    k = 2
+    b = basis_Bk(case, k)
+    vec = _coeff_vec(b.labels(), [("1", 2.0), ("[t^2-t^0]", 1.0)])  # 1+x
+    G = np.outer(vec, vec)
+    if noise == "psd":
+        B = np.random.default_rng(0).standard_normal((len(b), len(b)))
+        G = G + 1e-15 * (B @ B.T)
+    else:
+        G[-1, -1] += 1e-20
+    p = (_C(1.0) + _M(1, 0)) ** 2
+    res = verify_certificate(p, Certificate("v1", SymmetricForm(b.labels(), G)), case, k)
+    assert res.symbolic is not None and res.symbolic < 1e-10
+    assert res.ok()
+    assert not verify_certificate(p + 1.0, Certificate("v1", SymmetricForm(b.labels(), G)),
+                                  case, k).ok()
