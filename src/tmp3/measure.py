@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, moment
-from .bases import basis_Bk, basis_Vk, combined_lift
-from .curves import CurveCase, chi_flags, parametrization, sample_arrays, sample_points
+from .bases import basis_Vk, combined_lift
+from .curves import CurveCase, parametrization, sample_arrays, sample_points
 from .moment import Decision, MomentSequence, decide
 from .poly import BivarPoly, RationalElem, UnsupportedCase, product_on_curve
 
@@ -433,26 +433,11 @@ def generate(case: CurveCase, k: int, mu: AtomicMeasure | None = None,
 def witness(L: MomentSequence, decision: Decision | None = None) -> BivarPoly:
     """Polynomial p >= 0 on the curve with L(p) < 0, from a failed psd check."""
     dec = decision or decide(L)
-    if dec.passed() or dec._witness is None:
+    ref = dec.refutation
+    if dec.passed() or ref is None:
         raise NoWitness(f"decision was {dec.verdict}")
-    kind = dec._witness[0]
-    case, k = L.case, L.k
-    if kind == "moment":
-        form = dec._witness[1]
-        els = _elements_for(case, k, form, "Bk")
-        f = RationalElem(BivarPoly.const(1.0), BivarPoly.const(1.0))
-        chi = 1.0
-    elif kind == "localizing":
-        form = dec._witness[1]
-        els = _elements_for(case, k, form, "Vk")
-        f = case.multiplier().f
-        chi = 1.0
-    else:  # ("v2", factor_index, form, elements)
-        _, fi, form, els = dec._witness
-        chis = chi_flags(case)
-        chi = float(chis[fi])
-        f = RationalElem(case.factors()[fi], BivarPoly.const(1.0))
-    M = form.known()
+    case, k, els = L.case, L.k, ref.elements
+    M = ref.form.known()
     evals, vecs = np.linalg.eigh(M)
     g = vecs[:, 0]
     num = BivarPoly.zero()
@@ -464,33 +449,15 @@ def witness(L: MomentSequence, decision: Decision | None = None) -> BivarPoly:
         pad = _poly_div_exact(den, e.rat.denominator)
         num = num + float(c) * (e.rat.numerator * pad)
     u = RationalElem(num, den)
-    p = product_on_curve(u, u, f, case, k)
+    p = product_on_curve(u, u, ref.f, case, k)
     if p is None:
         raise NoWitness("failed to clear denominators in the witness square")
-    p = chi * p
+    p = ref.chi * p
     val = L.value(p)
     scale = L.scale()
     if val >= -1e-12 * scale:
         raise NoWitness(f"witness value {val:.3g} is not negative")
     return p
-
-
-def _elements_for(case, k, form, which):
-    """Match the form's labels back to basis elements."""
-    pools = []
-    if which == "Bk":
-        pools.append(basis_Bk(case, k).elements)
-    else:
-        if not case.is_v2():
-            pools.append(basis_Vk(case, k).elements)
-        if case.is_constructive():
-            pools.append(combined_lift(case, k).elements)
-    want = list(form.labels)
-    for pool in pools:
-        by_label = {e.label: e for e in pool}
-        if all(l in by_label for l in want):
-            return [by_label[l] for l in want]
-    raise NoWitness("could not reconstruct the failing basis")
 
 
 def _poly_div_exact(den, sub):

@@ -1,12 +1,16 @@
 """Moment functionals on plane cubics and the full decision engine.
 
-A functional is given by its moments beta[i, j] up to degree 2k.  The
-engine assembles the moment matrix over B_k and the localizing matrix
-over V^(k) (three matrices for the non-real-intersection cases), then
-dispatches: positive definiteness settles the nonsingular problem, and
-the per-case singular branches use rank restrictions on the univariate
-lift, the one-point-mass split at the isolated point, or the unique
-degree-(2k+2) extension on the smooth Weierstrass forms.
+A functional is given by its moments beta[i, j] up to degree 2k.  Each
+Gram-type matrix of a (case, k) -- over B_k, over V^(k), over the lift
+union basis, and the two-factor forms -- is compiled once into a cached
+record (Form) whose sparse arrays map the moments to its entries; decide,
+certify and witness all read that one record.  The engine evaluates the
+moment matrix and the localizing matrix (three matrices for the
+non-real-intersection cases), then dispatches: positive definiteness
+settles the nonsingular problem, and the per-case singular branches use
+rank restrictions on the univariate lift, the one-point-mass split at the
+isolated point, or the unique degree-(2k+2) extension on the smooth
+Weierstrass forms.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .bases import basis_Bk, basis_Rk1, basis_Vk, combined_lift
+from .bases import BasisElement, basis_Bk, basis_Rk1, basis_Vk, combined_lift
 from .curves import CurveCase, chi_flags
 from .linalg import Interval, SymmetricForm, Tolerances
 from .poly import BivarPoly, RationalElem, UnivarPoly, normal_low, product_on_curve
@@ -71,18 +75,31 @@ class Check:
     margin: float
 
 
+@dataclass(frozen=True)
+class Refutation:
+    """The failing Gram form of a refutation and what it is written over:
+    its entries are chi * L(f * u_r * u_s) for the basis ``elements``."""
+
+    elements: tuple
+    f: RationalElem
+    chi: float
+    form: SymmetricForm
+
+
 @dataclass
 class Decision:
     verdict: str  # MomentFunctional | MomentFunctionalOnNonIsolated |
     #              NotMomentFunctional | Inconclusive
     details: list = field(default_factory=list)
     completion_interval: Interval | None = None
-    witness_available: bool = False
     note: str = ""
-    # internal payloads for witness/extract
-    _witness: tuple | None = None
+    refutation: Refutation | None = None  # the payload of witness()
     o_weight: float = 0.0
     singular_branch: str = ""
+
+    @property
+    def witness_available(self):
+        return self.refutation is not None
 
     def passed(self):
         return self.verdict in ("MomentFunctional", "MomentFunctionalOnNonIsolated")
@@ -100,106 +117,115 @@ class DecideOptions:
 
 
 # ---------------------------------------------------------------------------
-# Assembly
+# Compiled forms
 
 
-def check_ideal_vanishing(L: MomentSequence) -> float:
-    """max |L(x^a y^b * P)| over a + b <= 2k - 3, relative to the scale."""
-    P = L.case.defining_poly()
-    worst = 0.0
-    for d in range(0, 2 * L.k - 3 + 1):
-        for a in range(d + 1):
-            b = d - a
-            worst = max(worst, abs(L.value(_M(a, b) * P)))
-    return worst
+def _mon_index(i, j):
+    """Graded index of x^i y^j: degree by degree, i ascending within a degree."""
+    return (i + j) * (i + j + 1) // 2 + i
 
 
-def _products(case: CurveCase, k: int, which: str):
-    return _products_cached(case.key(), k, which, case)
+def _beta_vector(L: MomentSequence):
+    """The moments beta[i, j] up to degree 2k as an array in graded order."""
+    return np.array([L.beta[(i, d - i)] for d in range(2 * L.k + 1) for i in range(d + 1)],
+                    dtype=float)
+
+
+def _coo(rows):
+    """(row, mon, coef) arrays of [(row, {(i, j): c})], in the order given.
+
+    This is the one walk over reduced products: every map from moments to a
+    matrix or a residual reads the arrays built here.
+    """
+    row, mon, coef = [], [], []
+    for r, p in rows:
+        for (i, j), c in p.items():
+            row.append(r)
+            mon.append(_mon_index(i, j))
+            coef.append(c)
+    return (np.array(row, dtype=np.intp), np.array(mon, dtype=np.intp),
+            np.array(coef, dtype=float))
+
+
+@dataclass(frozen=True, eq=False)
+class Form:
+    """One Gram-type matrix of a (case, k), compiled to a linear map of the moments.
+
+    Entry (r, s), r <= s, is chi * L(f * u_r * u_s) over ``elements``: the
+    sum of coef[e] * beta[mon[e]] over the entries e with pair[e] = r*n + s,
+    added in the order of the reduced product's terms.  ``unknown`` is the
+    one pair whose product has no representative of degree <= 2k.  Decide,
+    certify and witness all read this record; a certificate Gram matrix G
+    pairs with it from the other side, as L(v^T G v) = <G, M(L)>.
+    """
+
+    labels: tuple
+    elements: tuple
+    f: RationalElem
+    chi: float
+    pair: np.ndarray
+    mon: np.ndarray
+    coef: np.ndarray
+    unknown: tuple | None = None
+    partial: bool = False  # P10/P11: the localizing basis misses one element
+
+    def matrix(self, L: MomentSequence) -> SymmetricForm:
+        n = len(self.labels)
+        w = self.coef * _beta_vector(L)[self.mon]
+        m = self.chi * np.bincount(self.pair, w, minlength=n * n).reshape(n, n)
+        lower = np.tril_indices(n, -1)
+        m[lower] = m.T[lower]
+        return SymmetricForm(list(self.labels), m, self.unknown)
 
 
 @lru_cache(maxsize=512)
-def _products_cached(case_key, k, which, case):
-    """Reduced polynomial representatives for all basis pair products."""
+def _form(case: CurveCase, k: int, which: str) -> Form:
+    """The compiled form ``which`` of (case, k).
+
+    ``Bk``, ``Vk`` and ``lift`` take f * u * v on the curve (f the case
+    multiplier for Vk, 1 otherwise).  The v2 forms take normal_low of
+    u * v * (factor i) times chi_i: ``Qi`` over the factor-quotient basis
+    (decide), ``Ri`` over basis_Rk1 (localizing_matrices_v2, certificates).
+    """
     one = RationalElem(BivarPoly.const(1.0), BivarPoly.const(1.0))
-    if which == "Bk":
-        els = basis_Bk(case, k).elements
-        f = one
-    elif which == "Vk":
-        els = basis_Vk(case, k).elements
-        f = case.multiplier().f
-    elif which == "lift":
-        els = combined_lift(case, k).elements
-        f = one
+    chi, partial = 1.0, False
+    if which in ("Bk", "Vk", "lift"):
+        if which == "Bk":
+            els, f = basis_Bk(case, k).elements, one
+        elif which == "Vk":
+            vb = basis_Vk(case, k)
+            els, f, partial = vb.elements, case.multiplier().f, vb.partial
+        else:
+            els, f = combined_lift(case, k).elements, one
+
+        def product(u, v):
+            p = product_on_curve(u.rat, v.rat, f, case, k)
+            return None if p is None else p.coeffs
     else:
-        raise ValueError(which)
+        fi = int(which[1])
+        fac = case.factors()[fi]
+        if which[0] == "Q":
+            els = _v2_quotient_elements(case, k)[fi]
+        else:
+            els = basis_Rk1(case, k).elements
+        f, chi = RationalElem(fac, BivarPoly.const(1.0)), float(chi_flags(case)[fi])
+
+        def product(u, v):
+            return normal_low(u.rat.numerator * v.rat.numerator * fac, case).coeffs
     n = len(els)
-    out = [[None] * n for _ in range(n)]
+    rows, unknown = [], None
     for r in range(n):
         for s in range(r, n):
-            p = product_on_curve(els[r].rat, els[s].rat, f, case, k)
-            out[r][s] = out[s][r] = None if p is None else dict(p.coeffs)
-    return tuple(tuple(row) for row in out)
-
-
-def _assemble(L: MomentSequence, which: str, labels, unknown_expected=None):
-    prods = _products(L.case, L.k, which)
-    n = len(prods)
-    m = np.zeros((n, n))
-    unknown = None
-    for r in range(n):
-        for s in range(r, n):
-            p = prods[r][s]
-            if p is None:
-                if unknown_expected is None:
-                    raise AssertionError(
-                        f"undetermined {which} entry ({labels[r]}, {labels[s]}) "
-                        f"for {L.case.id}")
-                if unknown is not None and unknown != (r, s):
-                    raise AssertionError("more than one undetermined entry pair")
+            p = product(els[r], els[s])
+            if p is not None:
+                rows.append((r * n + s, p))
+            elif unknown is None:
                 unknown = (r, s)
-                continue
-            v = sum(c * L.beta[key] for key, c in p.items())
-            m[r, s] = m[s, r] = v
-    if unknown_expected is not None:
-        assert unknown == unknown_expected, (unknown, unknown_expected)
-    return SymmetricForm(list(labels), m, unknown)
-
-
-def moment_matrix(L: MomentSequence) -> SymmetricForm:
-    """Matrix of L(u*v) over basis_Bk; fully determined for every case."""
-    resid = check_ideal_vanishing(L)
-    if resid > 1e-6 * L.scale():
-        raise IdealViolation(f"ideal residual {resid:.3g}")
-    b = basis_Bk(L.case, L.k)
-    return _assemble(L, "Bk", b.labels())
-
-
-def localizing_matrix(L: MomentSequence) -> SymmetricForm:
-    """Matrix of L(f*u*v) over basis_Vk (partial basis for P10/P11)."""
-    b = basis_Vk(L.case, L.k)
-    return _assemble(L, "Vk", b.labels())
-
-
-def _v2_gram(L, chi, fac, els):
-    n = len(els)
-    m = np.zeros((n, n))
-    for r in range(n):
-        for s in range(r, n):
-            p = normal_low(els[r].rat.numerator * els[s].rat.numerator * fac, L.case)
-            m[r, s] = m[s, r] = chi * L.value(p)
-    return SymmetricForm([e.label for e in els], m)
-
-
-def localizing_matrices_v2(L: MomentSequence):
-    """(M1 with chi1*P1, M2 with chi2*P2) over basis_Rk1; M1 None if chi1=0."""
-    case = L.case
-    c1, c2 = chi_flags(case)
-    f1, f2 = case.factors()[0], case.factors()[1]
-    els = basis_Rk1(case, L.k).elements
-    m1 = None if c1 == 0 else _v2_gram(L, c1, f1, els)
-    m2 = _v2_gram(L, c2, f2, els)
-    return m1, m2
+            else:
+                raise AssertionError(f"more than one undetermined {which} entry for {case.id}")
+    if which == "lift":
+        assert unknown == combined_lift(case, k).unknown, unknown
+    return Form(tuple(e.label for e in els), tuple(els), f, chi, *_coo(rows), unknown, partial)
 
 
 def _v2_quotient_elements(case, k):
@@ -210,19 +236,50 @@ def _v2_quotient_elements(case, k):
     component: degree <= k-1 on the conic (dimension 2k-1) for the
     line factor, and on the line (dimension k) for the conic factor.
     """
-    from .bases import BasisElement
-
     conic = [BasisElement.monomial(i, 0) for i in range(k)]
     conic += [BasisElement.monomial(i, 1) for i in range(k - 1)]
     line = [BasisElement.monomial(i, 0) for i in range(k)]
     return conic, line
 
 
+@lru_cache(maxsize=512)
+def _ideal_rows(case: CurveCase, k: int):
+    """The rows L(x^a y^b * P), a + b <= 2k - 3, compiled like a form."""
+    P = case.defining_poly()
+    exps = [(a, d - a) for d in range(2 * k - 2) for a in range(d + 1)]
+    return (*_coo((r, (_M(a, b) * P).coeffs) for r, (a, b) in enumerate(exps)), len(exps))
+
+
+def check_ideal_vanishing(L: MomentSequence) -> float:
+    """max |L(x^a y^b * P)| over a + b <= 2k - 3 (0 when there are no rows)."""
+    row, mon, coef, n = _ideal_rows(L.case, L.k)
+    vals = np.bincount(row, coef * _beta_vector(L)[mon], minlength=n)
+    # fmax skips NaN rows, as the built-in max of the scalar loop did
+    return float(np.fmax.reduce(np.abs(vals), initial=0.0))
+
+
+def moment_matrix(L: MomentSequence) -> SymmetricForm:
+    """Matrix of L(u*v) over basis_Bk; fully determined for every case."""
+    resid = check_ideal_vanishing(L)
+    if resid > 1e-6 * L.scale():
+        raise IdealViolation(f"ideal residual {resid:.3g}")
+    return _form(L.case, L.k, "Bk").matrix(L)
+
+
+def localizing_matrix(L: MomentSequence) -> SymmetricForm:
+    """Matrix of L(f*u*v) over basis_Vk (partial basis for P10/P11)."""
+    return _form(L.case, L.k, "Vk").matrix(L)
+
+
+def localizing_matrices_v2(L: MomentSequence):
+    """(M1 with chi1*P1, M2 with chi2*P2) over basis_Rk1; M1 None if chi1=0."""
+    r0, r1 = (_form(L.case, L.k, f"R{i}") for i in (0, 1))
+    return (None if r0.chi == 0 else r0.matrix(L)), r1.matrix(L)
+
+
 def lift_matrix(L: MomentSequence) -> SymmetricForm:
     """Partial (3k+1) x (3k+1) union-basis matrix with one unknown pair."""
-    lift = combined_lift(L.case, L.k)
-    labels = [e.label for e in lift.elements]
-    return _assemble(L, "lift", labels, unknown_expected=lift.unknown)
+    return _form(L.case, L.k, "lift").matrix(L)
 
 
 def hankel_from_lift(L: MomentSequence, value: float):
@@ -284,7 +341,8 @@ def decide(L: MomentSequence, opts: DecideOptions | None = None) -> Decision:
     checks.append(Check("ideal_vanishing", "residual", True, -resid / scale))
 
     case = L.case
-    MB = _assemble(L, "Bk", basis_Bk(case, L.k).labels())
+    bk = _form(case, L.k, "Bk")
+    MB = bk.matrix(L)
     mb = linalg.psd_margin(MB.known())
     mb_pd = mb >= tol.pd
     mb_psd = mb >= -tol.psd
@@ -295,17 +353,17 @@ def decide(L: MomentSequence, opts: DecideOptions | None = None) -> Decision:
     if case.id == "P5":
         return _decide_p5(L, MB, mb, checks, tol)
 
-    MV = localizing_matrix(L)
-    vb = basis_Vk(case, L.k)
+    vk = _form(case, L.k, "Vk")
+    MV = vk.matrix(L)
     mv = linalg.psd_margin(MV.known())
     mv_pd = mv >= tol.pd
     mv_psd = mv >= -tol.psd
     checks.append(Check("localizing_matrix_pd", "pd", mv_pd, mv))
 
     if not mb_psd:
-        return _refuted(L, checks, ("moment", MB))
+        return _refuted(checks, bk, MB)
     if not mv_psd:
-        return _refuted(L, checks, ("localizing", MV))
+        return _refuted(checks, vk, MV)
 
     dec = None
     if mb_pd and mv_pd:
@@ -318,7 +376,7 @@ def decide(L: MomentSequence, opts: DecideOptions | None = None) -> Decision:
             if ivl.empty:
                 dec.verdict = "Inconclusive"
                 dec.note = "pd checks passed but no pd completion was found"
-        if vb.partial:
+        if vk.partial:
             dec.verdict = "Inconclusive"
             dec.note = ("necessary conditions only: the localizing basis for this case "
                         "is missing its Riemann-Roch element")
@@ -369,10 +427,10 @@ def _constructive_fallback(L, checks, tol, o_weight=0.0):
     return dec
 
 
-def _refuted(L, checks, source):
-    dec = Decision("NotMomentFunctional", checks, witness_available=True)
-    dec._witness = source
-    return dec
+def _refuted(checks, form: Form, M: SymmetricForm, rows=slice(None)):
+    """NotMomentFunctional from the failing matrix M of form (its elements[rows])."""
+    ref = Refutation(form.elements[rows], form.f, form.chi, M)
+    return Decision("NotMomentFunctional", checks, refutation=ref)
 
 
 def _decide_v2(L, MB, mb, checks, tol):
@@ -382,25 +440,19 @@ def _decide_v2(L, MB, mb, checks, tol):
     component; the full degree-(k-1) form always carries the other
     component's functions in its kernel.
     """
-    case = L.case
-    c1, c2 = chi_flags(case)
-    f1, f2 = case.factors()[0], case.factors()[1]
-    conic_els, line_els = _v2_quotient_elements(case, L.k)
     ok = mb >= tol.pd
     borderline = mb >= -tol.psd and not ok
     if mb < -tol.psd:
-        return _refuted(L, checks, ("moment", MB))
-    mats = []
-    if c1 != 0:
-        m1 = _v2_gram(L, c1, f1, conic_els)
-        mats.append(("localizing_chi1_pd", m1, ("v2", 0, m1, conic_els)))
-    m2 = _v2_gram(L, c2, f2, line_els)
-    mats.append(("localizing_chi2_pd", m2, ("v2", 1, m2, line_els)))
-    for name, m, wit in mats:
+        return _refuted(checks, _form(L.case, L.k, "Bk"), MB)
+    for name, which in (("localizing_chi1_pd", "Q0"), ("localizing_chi2_pd", "Q1")):
+        form = _form(L.case, L.k, which)
+        if form.chi == 0:
+            continue
+        m = form.matrix(L)
         mg = linalg.psd_margin(m.known())
         checks.append(Check(name, "pd", mg >= tol.pd, mg))
         if mg < -tol.psd:
-            return _refuted(L, checks, wit)
+            return _refuted(checks, form, m)
         if mg < tol.pd:
             borderline = True
     if ok and not borderline:
@@ -552,11 +604,11 @@ def _decide_p5(L, MB, mb, checks, tol):
     checks.append(Check("b_in_range", "range", range_b <= 1e-6 * scale, -range_b / scale))
 
     if mb < -tol.psd:
-        return _refuted(L, checks, ("moment", MB))
+        return _refuted(checks, _form(case, L.k, "Bk"), MB)
     if bpsd < -tol.psd:
-        tilde = combined_lift(case, L.k).elements[2:]
-        form = SymmetricForm([e.label for e in tilde], Bblk)
-        return _refuted(L, checks, ("localizing", form))
+        # the Schur block over the tilde elements; the lift multiplier is 1
+        return _refuted(checks, _form(case, L.k, "lift"),
+                        SymmetricForm(list(PM.labels[2:]), Bblk), slice(2, None))
     if range_b > 1e-6 * scale:
         return Decision("Inconclusive", checks,
                         note="b outside the range of the Schur block")
@@ -620,7 +672,7 @@ def _decide_p5(L, MB, mb, checks, tol):
 def _refuted_p5_sigma(L, checks, sigma1, sigma2, scale, tol):
     """All three isolated-point branches failed with clear margins."""
     if sigma1 < -tol.psd * scale or sigma1 + sigma2 < -1e-6 * scale:
-        dec = Decision("NotMomentFunctional", checks, witness_available=False)
+        dec = Decision("NotMomentFunctional", checks)
         dec.note = "the point-mass interval at the isolated point is empty"
         return dec
     return Decision("Inconclusive", checks, note="borderline isolated-point data")
@@ -697,8 +749,8 @@ def _decide_elliptic_singular(L, MB, MV, checks, tol):
     case, k = L.case, L.k
     scale = L.scale()
     mb = linalg.psd_margin(MB.known())
-    b_els = basis_Bk(case, k).elements
-    v_els = basis_Vk(case, k).elements
+    b_els = _form(case, k, "Bk").elements
+    v_els = _form(case, k, "Vk").elements
 
     vals = {}
     for d in range(0, 6 * k + 1):
@@ -765,7 +817,7 @@ def _decide_elliptic_singular(L, MB, MV, checks, tol):
     checks.append(Check("extension_consistent", "residual", consistent,
                         -resid_max / scale))
     if not consistent:
-        dec = Decision("NotMomentFunctional", checks, witness_available=False)
+        dec = Decision("NotMomentFunctional", checks)
         dec.note = "the unique singular extension is inconsistent with the data"
         return dec
     for d in range(6 * k + 1, 6 * k + 7):
@@ -778,8 +830,8 @@ def _decide_elliptic_singular(L, MB, MV, checks, tol):
             p = normal_low(_M(i, j), case)
             beta_ext[(i, j)] = sum(c * vals[_deg_c(a, b)] for (a, b), c in p.coeffs.items())
     Lext = MomentSequence(case, k + 1, beta_ext)
-    MB1 = _assemble(Lext, "Bk", basis_Bk(case, k + 1).labels())
-    MV1 = _assemble(Lext, "Vk", basis_Vk(case, k + 1).labels())
+    MB1 = _form(case, k + 1, "Bk").matrix(Lext)
+    MV1 = _form(case, k + 1, "Vk").matrix(Lext)
     m1 = linalg.psd_margin(MB1.known())
     m2 = linalg.psd_margin(MV1.known())
     checks.append(Check("extension_moment_psd", "psd", m1 >= -tol.psd, m1))
@@ -788,7 +840,7 @@ def _decide_elliptic_singular(L, MB, MV, checks, tol):
         dec = Decision("MomentFunctional", checks)
         dec.singular_branch = f"elliptic_extension:{branch}"
         return dec
-    dec = Decision("NotMomentFunctional", checks, witness_available=False)
+    dec = Decision("NotMomentFunctional", checks)
     dec.note = "the unique extension fails positivity"
     return dec
 

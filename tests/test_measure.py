@@ -196,17 +196,15 @@ class TestWitness:
         L, mu = generate(case, 2, n_atoms=6, seed=9)
         L2 = None
         from tmp3 import linalg
-        from tmp3.moment import _v2_gram, _v2_quotient_elements
+        from tmp3.moment import _form
 
-        f2 = case.factors()[1]
-        _, line_els = _v2_quotient_elements(case, 2)
         # subtract a point mass on the line: keeps the ideal, eventually
         # drives the chi2-factor matrix indefinite
         x0 = 0.8
         pe = {key: x0 ** key[0] * 0.0 ** key[1] for key in L.beta}
         for delta in np.geomspace(0.05, 1e4, 50):
             cand = L.perturbed({key: -delta * v for key, v in pe.items()})
-            m2 = _v2_gram(cand, 1, f2, line_els)
+            m2 = _form(case, 2, "Q1").matrix(cand)
             if linalg.psd_margin(m2.known()) < -1e-4:
                 L2 = cand
                 break

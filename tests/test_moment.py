@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import CASE_PARAMS, CONSTRUCTIVE
+from conftest import CASE_PARAMS, CONSTRUCTIVE, P6_VARIANTS
 from tmp3 import linalg, make_case
-from tmp3.bases import basis_Bk, basis_Vk
-from tmp3.curves import sample_points
+from tmp3.bases import basis_Bk, basis_Rk1, basis_Vk, combined_lift
+from tmp3.curves import chi_flags, sample_points
 from tmp3.measure import Atom, AtomicMeasure, generate, generate_measure
 from tmp3.moment import (
     IdealViolation,
     MomentSequence,
+    _form,
+    _v2_quotient_elements,
     check_ideal_vanishing,
     completion_interval_for,
     decide,
@@ -18,7 +20,7 @@ from tmp3.moment import (
     localizing_matrix,
     moment_matrix,
 )
-from tmp3.poly import BivarPoly
+from tmp3.poly import BivarPoly, normal_low, product_on_curve
 
 _M = BivarPoly.monomial
 
@@ -302,3 +304,81 @@ class TestGeneratingPolynomial:
         assert g.degree() == 3
         for t in ts:
             assert abs(g.eval(t)) < 1e-8 * max(1.0, g.norm()) * (1 + abs(t)) ** 3
+
+
+# -- reference: the compiled forms against a direct walk of the products ------
+
+ALL_CASES = [(cid, params) for cid, params in CASE_PARAMS.items() if cid != "P6"]
+ALL_CASES += [("P6", params) for params in P6_VARIANTS]
+
+
+def _reference_gram(L, els, product, chi=1.0):
+    """chi * L(product(u_r, u_s)) entry by entry; NaN where the product is None."""
+    n = len(els)
+    m = np.zeros((n, n))
+    for r in range(n):
+        for s in range(r, n):
+            p = product(els[r], els[s])
+            m[r, s] = m[s, r] = np.nan if p is None else chi * L.value(p)
+    return m
+
+
+def _reference_ideal(L):
+    P = L.case.defining_poly()
+    return max((abs(L.value(_M(a, d - a) * P))
+                for d in range(2 * L.k - 2) for a in range(d + 1)), default=0.0)
+
+
+def _data(case, k):
+    """Genuine moments, the same minus twice an atom, and noise off the ideal."""
+    mu = generate_measure(case, 3 * k + 1, k, seed=k)
+    L = MomentSequence(case, k, mu.moments(k))
+    a = mu.atoms[0]
+    refuted = L.perturbed({key: -2.0 * a.w * a.x ** key[0] * a.y ** key[1] for key in L.beta})
+    rng = np.random.default_rng(k)
+    noisy = L.perturbed({key: float(rng.standard_normal()) for key in L.beta})
+    return L, refuted, noisy
+
+
+@pytest.mark.parametrize("cid,params", ALL_CASES)
+def test_compiled_forms_match_reference(cid, params):
+    case = make_case(cid, params)
+    one = BivarPoly.const(1.0)
+    for k in (2, 3):
+        if k < case.k_min:
+            continue
+
+        def on_curve(f):
+            return lambda u, v: product_on_curve(u.rat, v.rat, f, case, k)
+
+        def times(fac):
+            return lambda u, v: normal_low(u.rat.numerator * v.rat.numerator * fac, case)
+
+        for L, on_ideal in zip(_data(case, k), (True, True, False)):
+            assert check_ideal_vanishing(L) == _reference_ideal(L)
+            # moment_matrix refuses data off the ideal; the form itself does not
+            got = (moment_matrix(L) if on_ideal else _form(case, k, "Bk").matrix(L)).entries
+            want = _reference_gram(L, basis_Bk(case, k).elements, on_curve(one))
+            assert np.array_equal(got, want, equal_nan=True)
+            if case.is_v2():
+                chis = chi_flags(case)
+                facs = case.factors()
+                rk1 = basis_Rk1(case, k).elements
+                m1, m2 = localizing_matrices_v2(L)
+                for i, m in enumerate((m1, m2)):
+                    want = _reference_gram(L, rk1, times(facs[i]), chis[i])
+                    if chis[i] == 0:
+                        assert m is None
+                    else:
+                        assert np.array_equal(m.entries, want, equal_nan=True)
+                    els = _v2_quotient_elements(case, k)[i]
+                    want = _reference_gram(L, els, times(facs[i]), chis[i])
+                    got = _form(case, k, f"Q{i}").matrix(L).entries
+                    assert np.array_equal(got, want, equal_nan=True)
+            else:
+                want = _reference_gram(L, basis_Vk(case, k).elements,
+                                       on_curve(case.multiplier().f))
+                assert np.array_equal(localizing_matrix(L).entries, want, equal_nan=True)
+            if case.is_constructive():
+                want = _reference_gram(L, combined_lift(case, k).elements, on_curve(one))
+                assert np.array_equal(lift_matrix(L).entries, want, equal_nan=True)

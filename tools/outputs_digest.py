@@ -1,0 +1,116 @@
+"""Bit-level digest of the solver's outputs on the benchmark corpus.
+
+    PYTHONPATH=src python3 tools/outputs_digest.py > digest.jsonl
+
+Writes one JSON line per instance: for genuine and refuted data (the 31
+benchmark labels, k = 2..6, seeds 1 and 2) the verdict, note, branch, every
+check with its margin, the completion interval, the extracted atoms or the
+extraction error, the witness coefficients, and digests of the
+``tmp3 solve --extract`` and ``tmp3 witness`` reports; for each certificate
+(k = 2..6, valid and shifted by +1) both residuals. Floats are written with
+``float.hex``, so two dumps are byte-equal exactly when the outputs are
+bit-identical: ``cmp`` of a dump from two checkouts is their verdict diff.
+The instances come from ``bench/corpus.py``, which is only imported.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))
+
+import corpus  # noqa: E402
+
+from tmp3 import (BivarPoly, Certificate, MomentSequence, SymmetricForm, decide,  # noqa: E402
+                  extract, make_case, verify_certificate, witness)
+from tmp3 import cli  # noqa: E402
+
+SEEDS = (1, 2)
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+def _cli_digest(argv):
+    """(exit code, sha256 of stdout) of one in-process ``tmp3`` command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def solve_line(rec, seed, tmpdir):
+    case = make_case(rec["case"], rec["params"])
+    beta = {(int(i), int(j)): float(v) for i, j, v in rec["moments"]}
+    L = MomentSequence(case, rec["k"], beta)
+    dec = decide(L)
+    line = {
+        "id": rec["id"], "seed": seed, "verdict": dec.verdict, "note": dec.note,
+        "branch": dec.singular_branch, "o_weight": _hex(dec.o_weight),
+        "checks": [[c.name, c.kind, bool(c.passed), _hex(c.margin)] for c in dec.details],
+        "interval": None, "witness_available": bool(dec.witness_available),
+    }
+    ivl = dec.completion_interval
+    if ivl is not None:
+        line["interval"] = [_hex(ivl.lo), _hex(ivl.hi), bool(ivl.empty)]
+    if dec.passed():
+        try:
+            mu = extract(L, decision=dec)
+            line["atoms"] = [[_hex(a.x), _hex(a.y), _hex(a.w), a.component] for a in mu.atoms]
+        except Exception as exc:  # the error text is part of the output
+            line["extract_error"] = f"{type(exc).__name__}: {exc}"
+    if dec.witness_available:
+        try:
+            p = witness(L, decision=dec)
+            line["witness"] = [[i, j, _hex(v)] for (i, j), v in sorted(p.coeffs.items())]
+        except Exception as exc:
+            line["witness_error"] = f"{type(exc).__name__}: {exc}"
+    path = os.path.join(tmpdir, "problem.json")
+    with open(path, "w") as fh:
+        json.dump({"case": rec["case"], "params": rec["params"], "k": rec["k"],
+                   "moments": [{"i": i, "j": j, "v": v} for i, j, v in rec["moments"]]}, fh)
+    line["cli_solve"] = _cli_digest(["solve", "--input", path, "--extract"])
+    if dec.verdict == "NotMomentFunctional":
+        line["cli_witness"] = _cli_digest(["witness", "--input", path])
+    return line
+
+
+def cert_line(rec):
+    case = make_case(rec["case"], rec["params"])
+
+    def form(key, labels):
+        return None if rec[key] is None else SymmetricForm(labels, rec[key])
+
+    cert = Certificate(rec["form"], form("gram0", rec["labels0"]),
+                       form("gram1", rec["labels1"]), form("gram2", rec["labels1"]))
+    line = {"id": rec["id"], "residuals": []}
+    for shift in (0.0, 1.0):
+        p = corpus.poly_from_list(rec["p"])
+        p[(0, 0)] = p.get((0, 0), 0.0) + shift
+        res = verify_certificate(BivarPoly(p), cert, case, rec["k"])
+        line["residuals"].append([_hex(res.sampled), _hex(res.symbolic), res.ok()])
+    return line
+
+
+def main():
+    keys = corpus.corpus_keys(corpus.KS)
+    with tempfile.TemporaryDirectory() as tmpdir:
+        for seed in SEEDS:
+            for kind in ("genuine", "refuted"):
+                for key in keys:
+                    rec = corpus.MAKERS[kind](seed, *key)
+                    print(json.dumps(solve_line(rec, seed, tmpdir), sort_keys=True), flush=True)
+    for key in keys:
+        print(json.dumps(cert_line(corpus.make_certificate(SEEDS[0], *key)), sort_keys=True),
+              flush=True)
+
+
+if __name__ == "__main__":
+    main()
