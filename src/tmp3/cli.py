@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import linalg, measure, moment
-from .bases import basis_Bk, basis_Rk1, basis_Vk
+from .bases import KTooSmall, basis_Bk, basis_Rk1, basis_Vk
 from .certify import Certificate, verify_certificate
 from .curves import (
     CASE_IDS,
@@ -109,6 +109,8 @@ def load_problem(path) -> tuple:
     _expect(params, dict, "params")
     case = make_case(data["case"], {name: _finite(v) for name, v in params.items()})
     k = _integer(data["k"])
+    if k < case.k_min:
+        raise KTooSmall(case.id, k, case.k_min)
     beta = {}
     for rec in _records(data["moments"], "moments"):
         beta[(_integer(rec["i"]), _integer(rec["j"]))] = _finite(rec["v"])

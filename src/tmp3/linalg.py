@@ -202,10 +202,14 @@ class Interval:
 def completion_interval(form: SymmetricForm, mode="psd", tol=None):
     """All values of the unknown pair making the matrix psd (or pd).
 
-    Closed form: after eliminating the block D avoiding the unknown rows,
-    feasibility is the quadratic (v - c0)^2 <= s1*s2 in the unknown v.
-    A bisection on the smallest eigenvalue refines the endpoints when D
-    is numerically singular.
+    Closed form: with D the principal block avoiding the unknown rows p, q
+    and a, b the known parts of those rows, M(v) is psd exactly when D is
+    psd, a and b lie in the range of D (Albert), and the quadratic
+    (v - c0)^2 <= s1*s2 holds, where s1 = M[p,p] - a D^+ a,
+    s2 = M[q,q] - b D^+ b and c0 = a D^+ b.  The psd interval is closed
+    and the pd interval open.  D is a principal submatrix of every
+    completion, so by Cauchy interlacing lambda_min(M(v)) <= lambda_min(D)
+    for all v: when D is not numerically pd, the pd interval is empty.
     """
     if form.unknown is None:
         raise ValueError("form has no unknown entry")
@@ -225,8 +229,9 @@ def completion_interval(form: SymmetricForm, mode="psd", tol=None):
 
     if rest:
         wD = np.linalg.eigvalsh(D)
+        # no completion is pd: by interlacing lambda_min(M(v)) <= lambda_min(D) for every v
         if mode == "pd" and wD[0] <= tols.pd * max(1.0, _norm(D)):
-            return _bisect_interval(form, mode, tols)
+            return Interval()
         if wD[0] < -tols.psd * scale:
             return Interval()
         Dp = pinv_cutoff(D)
@@ -253,42 +258,6 @@ def completion_interval(form: SymmetricForm, mode="psd", tol=None):
             return Interval()
         return Interval(lo, hi, closed=False, empty=False)
     return Interval(lo, hi, closed=True, empty=False)
-
-
-def _bisect_interval(form, mode, tols):
-    """Concavity-based fallback: lambda_min(M(v)) is concave in v."""
-    scale = max(1.0, _norm(np.nan_to_num(form.entries)))
-    target = tols.pd * scale if mode == "pd" else -tols.psd * scale
-
-    def f(v):
-        return np.linalg.eigvalsh(form.with_value(v).entries)[0] - target
-
-    lo, hi = -10.0 * scale, 10.0 * scale
-    # ternary search for the maximum of the concave f
-    a, b = lo, hi
-    for _ in range(200):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if f(m1) < f(m2):
-            a = m1
-        else:
-            b = m2
-    vstar = 0.5 * (a + b)
-    if f(vstar) < 0.0:
-        return Interval()
-
-    def edge(vin, vout):
-        for _ in range(120):
-            mid = 0.5 * (vin + vout)
-            if f(mid) >= 0.0:
-                vin = mid
-            else:
-                vout = mid
-        return vin
-
-    left = edge(vstar, lo) if f(lo) < 0 else lo
-    right = edge(vstar, hi) if f(hi) < 0 else hi
-    return Interval(left, right, closed=(mode == "psd"), empty=False)
 
 
 def _as_matrix(M):

@@ -125,10 +125,21 @@ def _mon_index(i, j):
     return (i + j) * (i + j + 1) // 2 + i
 
 
+@lru_cache(maxsize=64)
+def _graded_keys(k):
+    """The exponents (i, j), i + j <= 2k, in graded order."""
+    return tuple((i, d - i) for d in range(2 * k + 1) for i in range(d + 1))
+
+
+@lru_cache(maxsize=64)
+def _lower(n):
+    return np.tril_indices(n, -1)
+
+
 def _beta_vector(L: MomentSequence):
     """The moments beta[i, j] up to degree 2k as an array in graded order."""
-    return np.array([L.beta[(i, d - i)] for d in range(2 * L.k + 1) for i in range(d + 1)],
-                    dtype=float)
+    keys = _graded_keys(L.k)
+    return np.fromiter(map(L.beta.__getitem__, keys), dtype=float, count=len(keys))
 
 
 def _coo(rows):
@@ -173,7 +184,7 @@ class Form:
         n = len(self.labels)
         w = self.coef * _beta_vector(L)[self.mon]
         m = self.chi * np.bincount(self.pair, w, minlength=n * n).reshape(n, n)
-        lower = np.tril_indices(n, -1)
+        lower = _lower(n)
         m[lower] = m.T[lower]
         return SymmetricForm(list(self.labels), m, self.unknown)
 
@@ -282,30 +293,31 @@ def lift_matrix(L: MomentSequence) -> SymmetricForm:
     return _form(L.case, L.k, "lift").matrix(L)
 
 
+@lru_cache(maxsize=512)
+def _hankel_map(case: CurveCase, k: int):
+    """(N^-1, antidiagonal index of each entry, antidiagonal lengths) of the lift
+    basis of (case, k), N its numerator-coefficient matrix."""
+    lift = combined_lift(case, k)
+    n = len(lift.elements)
+    N = np.zeros((n, n))
+    for r, num in enumerate(lift.numerators):
+        N[r, :len(num.coeffs)] = num.coeffs
+    anti = np.add.outer(np.arange(n), np.arange(n)).ravel()
+    return np.linalg.inv(N), anti, np.bincount(anti)
+
+
 def hankel_from_lift(L: MomentSequence, value: float):
     """Classical Hankel congruent to the completed lift matrix.
 
     With N the numerator-coefficient matrix of the lift basis, the lifted
-    Gram matrix is N H N^T; H holds the weighted moments m_0..m_(6k).
+    Gram matrix is N H N^T; H holds the weighted moments m_0..m_(6k), each
+    the average of its antidiagonal of H (which enforces the exact Hankel
+    structure).
     """
-    lift = combined_lift(L.case, L.k)
+    Ninv, anti, cnt = _hankel_map(L.case, L.k)
     M = lift_matrix(L).with_value(value).known()
-    n = len(lift.elements)
-    N = np.zeros((n, n))
-    for r, num in enumerate(lift.numerators):
-        for i, c in enumerate(num.coeffs):
-            N[r, i] = c
-    Ninv = np.linalg.inv(N)
     H = Ninv @ M @ Ninv.T
-    # enforce the exact Hankel structure by antidiagonal averaging
-    m = np.zeros(2 * n - 1)
-    cnt = np.zeros(2 * n - 1)
-    for i in range(n):
-        for j in range(n):
-            m[i + j] += H[i, j]
-            cnt[i + j] += 1
-    m /= cnt
-    return m
+    return np.bincount(anti, H.ravel()) / cnt
 
 
 def generating_polynomial(H) -> UnivarPoly:

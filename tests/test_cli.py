@@ -57,6 +57,15 @@ class TestSolve:
         assert code == 3
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize("cmd", ["solve", "witness"])
+    @pytest.mark.parametrize("k", [-2, 0, 1])
+    def test_k_below_k_min_exit3(self, tmp_path, capsys, cmd, k):
+        path = tmp_path / "small_k.json"
+        path.write_text(json.dumps({"case": "P3", "k": k, "moments": []}))
+        code, out = _run(capsys, cmd, "--input", str(path))
+        assert code == 3
+        assert json.loads(out)["error"] == f"P3 requires k >= 2, got {k}"
+
     @pytest.mark.parametrize("files", [
         {"input": 42},
         {"input": {"case": "P4", "k": 2, "moments": [{"i": 0, "j": 0, "v": "1"}]}},

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tmp3.linalg import (
+    DEFAULT_TOL,
     Interval,
     MultipleUnknowns,
     Partition,
@@ -140,6 +141,37 @@ class TestCompletionInterval:
         M = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
         f = SymmetricForm(list("abc"), M, unknown=(0, 1))
         assert completion_interval(f, "psd").empty
+
+    def test_pd_empty_when_block_not_pd(self):
+        """D avoids the unknown rows, so it is a principal submatrix of every
+        completion M(v): by Cauchy interlacing lambda_min(M(v)) <= lambda_min(D),
+        and once D is not numerically pd no value makes M(v) pd."""
+        rng = np.random.default_rng(5)
+        tol = DEFAULT_TOL
+        for trial in range(20):
+            # psd Gram matrix: rows 0, 1 span freely, rows 2..5 only R^3
+            V = np.zeros((8, 6))
+            V[:, :2] = rng.standard_normal((8, 2))
+            V[:3, 2:] = rng.standard_normal((3, 4))
+            G = 10.0 ** rng.uniform(-1, 3) * (V.T @ V)
+            if trial % 2:
+                # lambda_min(D) just inside the pd tolerance instead of 0
+                G[2:, 2:] += 0.5 * tol.pd * max(1.0, np.abs(G[2:, 2:]).max()) * np.eye(4)
+            D = G[2:, 2:]
+            assert np.linalg.eigvalsh(D)[0] <= tol.pd * max(1.0, np.abs(D).max())
+            v01 = G[0, 1]
+            f = SymmetricForm(list("abcdef"), G.copy(), unknown=(0, 1))
+            assert completion_interval(f, "pd").empty
+            scale = max(1.0, np.abs(np.nan_to_num(f.entries)).max())
+            for v in np.linspace(-10.0 * scale, 10.0 * scale, 401):
+                assert np.linalg.eigvalsh(f.with_value(v).entries)[0] < tol.pd * scale
+            psd = completion_interval(f, "psd")
+            assert psd.closed and psd.contains(v01, slack=1e-9 * scale)
+            assert psd.width > 0.0
+            for v in (psd.lo, psd.midpoint(), psd.hi):
+                assert is_psd(f.with_value(v).entries, 1e-8)
+            for v in (psd.lo - 0.01 * psd.width, psd.hi + 0.01 * psd.width):
+                assert not is_psd(f.with_value(v).entries)
 
     def test_requires_unknown(self):
         f = SymmetricForm(["a"], np.eye(1))

@@ -15,6 +15,7 @@ from tmp3.moment import (
     completion_interval_for,
     decide,
     generating_polynomial,
+    hankel_from_lift,
     lift_matrix,
     localizing_matrices_v2,
     localizing_matrix,
@@ -382,3 +383,45 @@ def test_compiled_forms_match_reference(cid, params):
             if case.is_constructive():
                 want = _reference_gram(L, combined_lift(case, k).elements, on_curve(one))
                 assert np.array_equal(lift_matrix(L).entries, want, equal_nan=True)
+
+
+def _reference_hankel(L, value):
+    """N^-1 from the lift numerators, then each antidiagonal of N^-1 M N^-T
+    averaged by a double loop in row-major order."""
+    lift = combined_lift(L.case, L.k)
+    M = lift_matrix(L).with_value(value).known()
+    n = len(lift.elements)
+    N = np.zeros((n, n))
+    for r, num in enumerate(lift.numerators):
+        for i, c in enumerate(num.coeffs):
+            N[r, i] = c
+    Ninv = np.linalg.inv(N)
+    H = Ninv @ M @ Ninv.T
+    m = np.zeros(2 * n - 1)
+    cnt = np.zeros(2 * n - 1)
+    for i in range(n):
+        for j in range(n):
+            m[i + j] += H[i, j]
+            cnt[i + j] += 1
+    return m / cnt
+
+
+@pytest.mark.parametrize("cid,params", CONSTRUCTIVE)
+def test_hankel_from_lift_matches_reference(cid, params):
+    case = make_case(cid, params)
+    for k in range(2, 6):
+        # the first seed with a psd completion: borderline genuine data can miss
+        # it at k = 5 (P13 seed 5), which is a verdict question, not this one
+        for seed in range(k, k + 5):
+            mu = generate_measure(case, 3 * k + 1, k, seed=seed)
+            L = MomentSequence(case, k, mu.moments(k))
+            ivl = completion_interval_for(L, mode="psd")
+            if not ivl.empty:
+                break
+        assert not ivl.empty
+        values = [ivl.midpoint(), ivl.lo, ivl.hi]
+        pd = completion_interval_for(L, mode="pd")
+        if not pd.empty:
+            values.append(pd.midpoint())
+        for v in values:
+            assert np.array_equal(hankel_from_lift(L, v), _reference_hankel(L, v))
