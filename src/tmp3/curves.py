@@ -1,35 +1,40 @@
-"""Catalog of the 29 canonical plane-cubic cases.
+"""The catalog of the 29 canonical plane-cubic cases: one record per case.
 
-Each case id P1..P29 carries: parameter constraints, the defining cubic
-(its rewrite rules modulo the curve ideal are the cubic solved for one head
-monomial), a rational parametrization (where one exists), the positivity
-multiplier with its selected cubic root, and sign flags for the reducible
-cases whose line and conic meet in non-real points.
+Every per-case fact lives in the case's CaseRecord (the table _CATALOG):
+parameter names and constraints, k_min, the factors of the defining cubic
+and the head monomial its rewrite rules solve for, the rational
+parametrization with its matching conditions (where one exists), the
+positivity multiplier with its selected cubic root, the sign flag of the
+reducible cases whose line and conic meet in non-real points, the sampling
+data of the non-parametrized cases, the basis B_k with the rule that turns
+it into the localizing space V^(k), the univariate lift of the
+constructive cases and the route of their singular decisions.  Records
+hold functions of the parameters, so nothing is built at import.  The
+public functions here and in tmp3.bases read the record; pattern-based
+normalization of general cubics closes the module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from typing import Callable
 
 import numpy as np
 
 from .poly import (
+    BasisElement,
     BivarPoly,
     RationalElem,
     UnivarPoly,
     UnsupportedCase,
+    _mono_label,
     cubic_real_roots,
+    normal_low,
 )
 
 CASE_IDS = tuple(f"P{i}" for i in range(1, 30))
-
-#: ids handled by the nonnegative-line/conic sign-flag theorem
-CHI_CASES = ("P15", "P19", "P24")
-
-#: ids with a constructive univariate lift (atom extraction supported)
-CONSTRUCTIVE_CASES = ("P3", "P4", "P5", "P6", "P12", "P13")
 
 
 class InvalidParams(ValueError):
@@ -42,31 +47,6 @@ class NotApplicable(ValueError):
 
 class Unsupported(ValueError):
     """Cubic outside the recognized normalization patterns."""
-
-
-_PARAM_NAMES = {
-    "P1": ("a", "b"),
-    "P2": ("c",),
-    "P6": ("a", "d", "e"),
-    "P7": ("a", "d", "e"),
-    "P8": ("c", "d", "e"),
-    "P9": ("c", "d", "e"),
-    "P10": ("a", "c", "d", "e"),
-    "P11": ("a", "c", "d", "e"),
-    "P12": ("c2", "c1", "c0"),
-    "P14": ("a",),
-    "P15": ("a",),
-    "P16": ("a",),
-    "P22": ("a",),
-    "P23": ("a",),
-    "P24": ("a",),
-    "P25": ("a",),
-    "P26": ("a", "b"),
-}
-
-_K_MIN = {
-    "P6": 1, "P17": 1, "P21": 1, "P22": 1, "P27": 1, "P28": 1,
-}
 
 
 @dataclass(frozen=True)
@@ -156,13 +136,46 @@ class Multiplier:
     selection_rule: str = "none"
 
 
+@dataclass(frozen=True, kw_only=True)
+class CaseRecord:
+    """Every fact of one canonical case.  Hooks take the parameter dict p (or
+    the case and k); a hook left at None marks a fact the case does not have."""
+
+    id: str
+    names: tuple = ()  # parameter names, in the order make_case reports them
+    k_min: int = 2
+    head: tuple  # rewrite head, or (high, low) for the Weierstrass forms
+    factors: Callable  # p -> the irreducible factors of the defining cubic
+    check: Callable = lambda p: None  # p -> message of a violated constraint
+    par: Callable | None = None  # p -> Parametrization
+    mult: Callable | None = None  # p -> Multiplier; None: the multiplier 1
+    chi1: Callable | None = None  # p -> sign of the line factor on the conic
+    xs: Callable | None = None  # (p, rng, n, spread) -> x draws on the real locus
+    g: Callable | None = None  # (p, x) -> G(x), the curve being x y^2 + a y = G(x)
+    bk: Callable  # (case, k) -> the elements of B_k
+    vk: Callable | None = None  # (case, k, B_k elements) -> the elements of V^(k)
+    lift: Callable | None = None  # (case, k, basis_Vk) -> els, nums, denom, b_drop, v_drop
+    route: str = ""  # singular route: elliptic | lift | isolated | fallback
+    rank_drops: tuple = (-1, -1)  # lift row the rank restrictions drop, B and V side
+    lift_check: Callable = lambda p: None  # p -> (check name, root) of an extra lift check
+
+    def validate(self, p):
+        """Raise InvalidParams unless the parameters are finite and meet the constraints."""
+        bad = [f"{n}={v}" for n, v in p.items() if not math.isfinite(v)]
+        if bad:
+            raise InvalidParams(f"{self.id} requires finite parameters, got {', '.join(bad)}")
+        msg = self.check(p)
+        if msg:
+            raise InvalidParams(msg)
+
+
 @dataclass(frozen=True)
 class CurveCase:
     id: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _validate(self.id, self.params)
+        self.record.validate(self.params)
 
     def __hash__(self):
         return hash(self.key())
@@ -173,14 +186,18 @@ class CurveCase:
     def key(self):
         return (self.id, tuple(sorted(self.params.items())))
 
+    @property
+    def record(self) -> CaseRecord:
+        return _CATALOG[self.id]
+
     # -- defining data ------------------------------------------------
 
     def defining_poly(self) -> BivarPoly:
-        return _defining_poly(self.id, self.params)
+        return reduce(BivarPoly.__mul__, self.factors())
 
     def factors(self):
         """Irreducible factors for reducible cases, else [defining_poly]."""
-        return _factors(self.id, self.params)
+        return self.record.factors(self.params)
 
     def rewrite_rule(self):
         return _rewrite_rule(self, False)
@@ -190,16 +207,16 @@ class CurveCase:
 
     @property
     def k_min(self):
-        return _K_MIN.get(self.id, 2)
+        return self.record.k_min
 
     def is_v2(self):
-        return self.id in CHI_CASES
+        return self.record.chi1 is not None
 
     def is_constructive(self):
-        return self.id in CONSTRUCTIVE_CASES
+        return self.record.lift is not None
 
     def has_parametrization(self):
-        return self.id not in ("P1", "P2", "P7", "P8", "P9", "P10", "P11")
+        return self.record.par is not None
 
     # -- delegating wrappers -------------------------------------------
 
@@ -217,7 +234,7 @@ def make_case(case_id: str, params=None) -> CurveCase:
     params = dict(params or {})
     if case_id not in CASE_IDS:
         raise InvalidParams(f"unknown case id {case_id!r}")
-    want = _PARAM_NAMES.get(case_id, ())
+    want = _CATALOG[case_id].names
     missing = [p for p in want if p not in params]
     if missing:
         raise InvalidParams(f"{case_id} requires parameters {missing}")
@@ -227,177 +244,36 @@ def make_case(case_id: str, params=None) -> CurveCase:
     return CurveCase(case_id, {k: float(v) for k, v in params.items()})
 
 
-def _validate(cid, p):
-    tol = 1e-8
-    if cid == "P1":
-        if not (0.0 < p["a"] < p["b"]):
-            raise InvalidParams("P1 requires 0 < a < b")
-    elif cid == "P2":
-        if p["c"] == 0.0:
-            raise InvalidParams("P2 requires c != 0")
-    elif cid == "P6":
-        a, d, e = p["a"], p["d"], p["e"]
-        # reducible exactly when a=0,e=0 or (a != 0 and e^2 = a^2 d)
-        if a == 0.0 and abs(e) <= tol:
-            raise InvalidParams("P6 with a=0 requires e != 0 (else reducible)")
-        if a != 0.0 and abs(e * e - a * a * d) <= tol * max(1.0, a * a, e * e):
-            raise InvalidParams("P6 requires e^2 != a^2*d (else reducible)")
-    elif cid in ("P8", "P9"):
-        if p["e"] == 0.0:
-            raise InvalidParams(f"{cid} requires e != 0")
-    elif cid in ("P10", "P11"):
-        if p["a"] == 0.0 or p["e"] == 0.0:
-            raise InvalidParams(f"{cid} requires a != 0 and e != 0")
-    elif cid == "P12":
-        if abs(p["c0"]) <= tol:
-            raise InvalidParams("P12 requires c(0) != 0 (else reducible)")
-    elif cid == "P14":
-        if p["a"] == 0.0:
-            raise InvalidParams("P14 requires a != 0")
-    elif cid == "P15":
-        if not abs(p["a"]) > 2.0:
-            raise InvalidParams("P15 requires |a|>2")
-    elif cid in ("P22", "P23"):
-        if p["a"] == 0.0:
-            raise InvalidParams(f"{cid} requires a != 0")
-    elif cid == "P24":
-        if abs(abs(p["a"]) - 2.0) <= tol:
-            raise InvalidParams("P24 requires |a| != 2")
-    elif cid == "P25":
-        if abs(abs(p["a"]) - 2.0) <= tol:
-            raise InvalidParams("P25 requires |a| != 2 (conic irreducible)")
-    elif cid == "P26":
-        a, b = p["a"], p["b"]
-        if a == 0.0 or b == 0.0 or a == b:
-            raise InvalidParams("P26 requires a != 0, b != 0, a != b")
-
-
 # ---------------------------------------------------------------------------
-# Defining polynomials, factorizations and rewrite rules
+# Building blocks of the records
 
+_TOL = 1e-8
 _X = BivarPoly.x
 _Y = BivarPoly.y
 _M = BivarPoly.monomial
 _C = BivarPoly.const
 
-
-def _defining_poly(cid, p):
-    fs = _factors(cid, p)
-    out = fs[0]
-    for f in fs[1:]:
-        out = out * f
-    return out
+#: rewrite heads: y^2 for reduce_on_curve and the degree-minimal x^3 for
+#: normal_low on the Weierstrass forms, one head elsewhere
+_WEIER, _XY2, _X3, _Y3, _X2Y = ((0, 2), (3, 0)), (1, 2), (3, 0), (0, 3), (2, 1)
 
 
-def _factors(cid, p):
-    if cid == "P1":
-        a, b = p["a"], p["b"]
-        return [_M(0, 2) - _M(3, 0) + _M(2, 0, a + b) - _M(1, 0, a * b)]
-    if cid == "P2":
-        c = p["c"]
-        return [_M(0, 2) - _M(3, 0) - _M(1, 0, c * c)]
-    if cid == "P3":
-        return [_M(0, 2) - _M(3, 0)]
-    if cid == "P4":
-        return [_M(0, 2) - _M(3, 0) + _M(2, 0, 2.0) - _M(1, 0)]
-    if cid == "P5":
-        return [_M(0, 2) - _M(3, 0) + _M(2, 0)]
-    if cid == "P6":
-        a, d, e = p["a"], p["d"], p["e"]
-        return [_M(1, 2) + _M(0, 1, a) - _M(1, 0, d) - _C(e)]
-    if cid == "P7":
-        a, d, e = p["a"], p["d"], p["e"]
-        return [_M(1, 2) + _M(0, 1, a) - _M(2, 0) - _M(1, 0, d) - _C(e)]
-    if cid == "P8":
-        c, d, e = p["c"], p["d"], p["e"]
-        return [_M(1, 2) - _M(3, 0) - _M(2, 0, c) - _M(1, 0, d) - _C(e)]
-    if cid == "P9":
-        c, d, e = p["c"], p["d"], p["e"]
-        return [_M(1, 2) + _M(3, 0) - _M(2, 0, c) - _M(1, 0, d) - _C(e)]
-    if cid == "P10":
-        a, c, d, e = p["a"], p["c"], p["d"], p["e"]
-        return [_M(1, 2) + _M(0, 1, a) - _M(3, 0) - _M(2, 0, c) - _M(1, 0, d) - _C(e)]
-    if cid == "P11":
-        a, c, d, e = p["a"], p["c"], p["d"], p["e"]
-        return [_M(1, 2) + _M(0, 1, a) + _M(3, 0) - _M(2, 0, c) - _M(1, 0, d) - _C(e)]
-    if cid == "P12":
-        c2, c1, c0 = p["c2"], p["c1"], p["c0"]
-        return [_M(1, 1) - _M(3, 0) - _M(2, 0, c2) - _M(1, 0, c1) - _C(c0)]
-    if cid == "P13":
-        return [_Y() - _M(3, 0)]
-    if cid == "P14":
-        a = p["a"]
-        return [_Y(), _M(0, 1, a) + _M(2, 0) + _M(0, 2)]
-    if cid == "P15":
-        a = p["a"]
-        return [_Y(), _C(1.0) + _M(0, 1, a) + _M(2, 0) + _M(0, 2)]
-    if cid == "P16":
-        a = p["a"]
-        return [_Y(), _C(1.0) + _M(0, 1, a) - _M(2, 0) - _M(0, 2)]
-    if cid == "P17":
-        return [_Y(), _M(2, 0) - _Y()]
-    if cid == "P18":
-        return [_Y(), _X() - _M(0, 2)]
-    if cid == "P19":
-        return [_Y(), _C(1.0) + _Y() + _M(2, 0)]
-    if cid == "P20":
-        return [_Y(), _C(1.0) + _Y() - _M(2, 0)]
-    if cid == "P21":
-        return [_Y(), _C(1.0) - _M(1, 1)]
-    if cid == "P22":
-        a = p["a"]
-        return [_Y(), _X() + _Y() + _M(1, 1, a)]
-    if cid == "P23":
-        a = p["a"]
-        return [_Y(), _M(0, 1, a) + _M(2, 0) - _M(0, 2)]
-    if cid == "P24":
-        a = p["a"]
-        return [_Y(), _C(1.0) + _M(0, 1, a) + _M(2, 0) - _M(0, 2)]
-    if cid == "P25":
-        a = p["a"]
-        return [_Y(), _C(1.0) + _M(0, 1, a) - _M(2, 0) + _M(0, 2)]
-    if cid == "P26":
-        a, b = p["a"], p["b"]
-        return [_Y(), _C(a) + _Y(), _C(b) + _Y()]
-    if cid == "P27":
-        return [_Y(), _X() - _Y(), _X() + _Y()]
-    if cid == "P28":
-        return [_Y(), _X(), _Y() + _C(1.0)]
-    if cid == "P29":
-        return [_Y(), _C(1.0) + _X() - _Y(), _C(1.0) - _X() - _Y()]
-    raise InvalidParams(cid)
+def _reject(bad, msg):
+    """Constraint check: msg when bad(p) holds."""
+    return lambda p: msg if bad(p) else None
 
 
-#: the monomial each defining cubic is solved for; P1-P5 carry (high, low):
-#: y^2 for reduce_on_curve and the degree-minimal x^3 for normal_low
-_HEADS = {
-    **dict.fromkeys(("P1", "P2", "P3", "P4", "P5"), ((0, 2), (3, 0))),
-    **dict.fromkeys(("P6", "P7", "P8", "P9", "P10", "P11", "P21", "P22", "P28"), (1, 2)),
-    **dict.fromkeys(("P12", "P13"), (3, 0)),
-    **dict.fromkeys(("P14", "P18", "P23", "P26", "P29"), (0, 3)),
-    **dict.fromkeys(("P15", "P16", "P17", "P19", "P20", "P24", "P25", "P27"), (2, 1)),
-}
+def _p6_check(p):
+    a, d, e = p["a"], p["d"], p["e"]
+    # reducible exactly when a=0,e=0 or (a != 0 and e^2 = a^2 d)
+    if a == 0.0 and abs(e) <= _TOL:
+        return "P6 with a=0 requires e != 0 (else reducible)"
+    if a != 0.0 and abs(e * e - a * a * d) <= _TOL * max(1.0, a * a, e * e):
+        return "P6 requires e^2 != a^2*d (else reducible)"
+    return None
 
 
-@lru_cache(maxsize=512)
-def _rewrite_rule(case, low):
-    """(head, rhs) with head = rhs on the curve: the defining cubic solved for head.
-
-    Cached per case (CurveCase hashes and compares by its key).
-    """
-    head = _HEADS[case.id]
-    if isinstance(head[0], tuple):
-        head = head[1 if low else 0]
-    P = case.defining_poly()
-    c = P.coeffs[head]
-    return head, BivarPoly({m: -v / c for m, v in P.coeffs.items() if m != head})
-
-
-# ---------------------------------------------------------------------------
-# Parametrizations
-
-_ONE = UnivarPoly([1.0])
-_T = UnivarPoly([0.0, 1.0])
+# -- parametrizations --------------------------------------------------------
 
 
 def _comp(xn, xd, yn, yd, excl=(), factor=0):
@@ -407,156 +283,75 @@ def _comp(xn, xd, yn, yd, excl=(), factor=0):
     )
 
 
-def parametrization(case: CurveCase) -> Parametrization:
-    cid, p = case.id, case.params
-    if cid == "P3":
-        return Parametrization(
-            (_comp([0, 0, 1], [1], [0, 0, 0, 1], [1]),),
-            ("s'(0) = 0 for pullbacks s of polynomial functions",),
-        )
-    if cid == "P4":
-        return Parametrization(
-            (_comp([0, 0, 1], [1], [0, -1, 0, 1], [1]),),
-            ("s(1) = s(-1) for pullbacks s of polynomial functions",),
-        )
-    if cid == "P5":
-        return Parametrization(
-            (_comp([1, 0, 1], [1], [0, 1, 0, 1], [1]),),
-            ("s(i) = s(-i) for pullbacks s; the isolated origin is not reached",),
-        )
-    if cid == "P6":
-        a, d, e = p["a"], p["d"], p["e"]
-        excl = ()
-        if d >= 0.0:
-            r = math.sqrt(d)
-            excl = (r, -r) if r > 0 else (0.0,)
-        return Parametrization(
-            (_comp([e, -a], [-d, 0, 1], [0, 1], [1], excl),),
-            ("numerator weight condition at t^2 = d for pullbacks q/h2^i",),
-        )
-    if cid == "P12":
-        c2, c1, c0 = p["c2"], p["c1"], p["c0"]
-        return Parametrization(
-            (_comp([0, 1], [1], [c0, c1, c2, 1], [0, 1], (0.0,)),),
-            ("p_0 = p_{3i} * c0^i for pullbacks p/t^i",),
-        )
-    if cid == "P13":
-        return Parametrization(
-            (_comp([0, 1], [1], [0, 0, 0, 1], [1]),),
-            ("coefficient of t^{3i-1} vanishes for degree-i pullbacks",),
-        )
-    line = _comp([0, 1], [1], [0], [1], factor=0)
-    if cid == "P14":
-        a = p["a"]
-        conic = _comp([a / 2, 0, -a / 2], [1, 0, 1], [-a / 2, -a, -a / 2], [1, 0, 1], factor=1)
-        return Parametrization((line, conic), ("f(0) = g(-1)", "f'(0) = 2*g'(-1)/a"))
-    if cid == "P15":
-        a = p["a"]
-        r = math.sqrt(a * a / 4.0 - 1.0)
-        conic = _comp([0, 2 * r], [1, 0, 1], [-r - a / 2, 0, r - a / 2], [1, 0, 1], factor=1)
-        return Parametrization(
-            (line, conic),
-            ("f(i) = g(t0) at the non-real intersection (not evaluated numerically)",),
-        )
-    if cid == "P16":
-        a = p["a"]
-        r = math.sqrt(1.0 + a * a / 4.0)
-        conic = _comp([0, 2 * r], [1, 0, 1], [-r + a / 2, 0, r + a / 2], [1, 0, 1], factor=1)
-        tm = 0.5 * (a - math.sqrt(4.0 + a * a))
-        tp = 0.5 * (-a + math.sqrt(4.0 + a * a))
-        return Parametrization(
-            (line, conic),
-            (f"f(-1) = g(t-) with t- = {tm:.12g}", f"f(1) = g(t+) with t+ = {tp:.12g}"),
-        )
-    if cid == "P17":
-        conic = _comp([0, 1], [1], [0, 0, 1], [1], factor=1)
-        return Parametrization((line, conic), ("f(0) = g(0)", "f'(0) = g'(0)"))
-    if cid == "P18":
-        conic = _comp([0, 0, 1], [1], [0, 1], [1], factor=1)
-        return Parametrization((line, conic), ("f(0) = g(0)", "f_i = g_{2i}"))
-    if cid == "P19":
-        conic = _comp([0, 1], [1], [-1, 0, -1], [1], factor=1)
-        return Parametrization(
-            (line, conic),
-            ("f(i) = g(i) at the non-real intersection (not evaluated numerically)",),
-        )
-    if cid == "P20":
-        conic = _comp([0, 1], [1], [-1, 0, 1], [1], factor=1)
-        return Parametrization((line, conic), ("f(-1) = g(-1)", "f(1) = g(1)"))
-    if cid == "P21":
-        conic = _comp([0, 1], [1], [1], [0, 1], (0.0,), factor=1)
-        return Parametrization((line, conic), ("f_{i-1} = g_{i-1}", "f_i = g_i"))
-    if cid == "P22":
-        a = p["a"]
-        conic = _comp([0, 1], [1], [0, -1], [1, a], (-1.0 / a,), factor=1)
-        return Parametrization((line, conic), ("f(0) = g(0)", "f_i = g_{2i}/a^i"))
-    if cid == "P23":
-        a = p["a"]
-        conic = _comp([0, a], [-1, 0, 1], [0, 0, a], [-1, 0, 1], (1.0, -1.0), factor=1)
-        return Parametrization((line, conic), ("f(0) = g(0)", "f'(0) = -g'(0)/a"))
-    if cid == "P24":
-        a = p["a"]
-        r = math.sqrt(1.0 + a * a / 4.0)
-        conic = _comp([0, 2 * r], [-1, 0, 1], [r - a / 2, 0, r + a / 2], [-1, 0, 1],
-                      (1.0, -1.0), factor=1)
-        return Parametrization(
-            (line, conic),
-            ("f(i) = g(t0) at the non-real intersection (not evaluated numerically)",),
-        )
-    if cid == "P25":
-        a = p["a"]
-        conic = _comp([1, a, 1], [a, 2], [-1, 0, 1], [a, 2], (-a / 2.0,), factor=1)
-        return Parametrization((line, conic), ("f(-1) = g(-1)", "f(1) = g(1)"))
-    if cid == "P26":
-        a, b = p["a"], p["b"]
-        l2 = _comp([0, 1], [1], [-a], [1], factor=1)
-        l3 = _comp([0, 1], [1], [-b], [1], factor=2)
-        return Parametrization(
-            (line, l2, l3),
-            ("f_i = g_i = h_i", "b*(g_{i-1} - f_{i-1}) = a*(h_{i-1} - f_{i-1})"),
-        )
-    if cid == "P27":
-        l2 = _comp([0, 1], [1], [0, 1], [1], factor=1)
-        l3 = _comp([0, 1], [1], [0, -1], [1], factor=2)
-        return Parametrization(
-            (line, l2, l3),
-            ("f(0) = g(0) = h(0)", "g'(0) - f'(0) = f'(0) - h'(0)"),
-        )
-    if cid == "P28":
-        l2 = _comp([0, 1], [1], [-1], [1], factor=2)
-        l3 = _comp([0], [1], [0, 1], [1], factor=1)
-        return Parametrization(
-            (line, l2, l3),
-            ("f(0) = h(0)", "g(0) = h(-1)", "f_i = g_i"),
-        )
-    if cid == "P29":
-        l2 = _comp([0, 1], [1], [1, 1], [1], factor=1)
-        l3 = _comp([0, 1], [1], [1, -1], [1], factor=2)
-        return Parametrization(
-            (line, l2, l3),
-            ("f(-1) = g(-1)", "f(1) = h(1)", "g(0) = h(0)"),
-        )
-    raise UnsupportedCase(f"{cid} has no rational parametrization")
+def _one_comp(*comp, conditions):
+    return Parametrization((_comp(*comp),), conditions)
 
 
-# ---------------------------------------------------------------------------
-# Multipliers
+def _with_line(others, conditions):
+    """Parametrization of a reducible case: the line y = 0 (factor 0), then others."""
+    return Parametrization((_comp([0, 1], [1], [0], [1], factor=0), *others), conditions)
 
 
-def multiplier(case: CurveCase) -> Multiplier:
-    cid, p = case.id, case.params
-    one = BivarPoly.const(1.0)
-    if cid in ("P1", "P2"):
-        return Multiplier(RationalElem(_X(), one))
-    if cid == "P7":
-        a, d, e = p["a"], p["d"], p["e"]
-        q = UnivarPoly([a * a / 4.0, e, d, 1.0])
-        alpha = cubic_real_roots(q)[0]
-        return Multiplier(RationalElem(_X() - _C(alpha), one), alpha, q, "smallest")
-    if cid in ("P8", "P9"):
+def _par_p6(p):
+    a, d, e = p["a"], p["d"], p["e"]
+    excl = ()
+    if d >= 0.0:
+        r = math.sqrt(d)
+        excl = (r, -r) if r > 0 else (0.0,)
+    return _one_comp([e, -a], [-d, 0, 1], [0, 1], [1], excl,
+                     conditions=("numerator weight condition at t^2 = d for pullbacks q/h2^i",))
+
+
+def _par_p14(p):
+    a = p["a"]
+    conic = _comp([a / 2, 0, -a / 2], [1, 0, 1], [-a / 2, -a, -a / 2], [1, 0, 1], factor=1)
+    return _with_line((conic,), ("f(0) = g(-1)", "f'(0) = 2*g'(-1)/a"))
+
+
+def _par_p15(p):
+    a = p["a"]
+    r = math.sqrt(a * a / 4.0 - 1.0)
+    conic = _comp([0, 2 * r], [1, 0, 1], [-r - a / 2, 0, r - a / 2], [1, 0, 1], factor=1)
+    return _with_line(
+        (conic,), ("f(i) = g(t0) at the non-real intersection (not evaluated numerically)",))
+
+
+def _par_p16(p):
+    a = p["a"]
+    r = math.sqrt(1.0 + a * a / 4.0)
+    conic = _comp([0, 2 * r], [1, 0, 1], [-r + a / 2, 0, r + a / 2], [1, 0, 1], factor=1)
+    tm = 0.5 * (a - math.sqrt(4.0 + a * a))
+    tp = 0.5 * (-a + math.sqrt(4.0 + a * a))
+    return _with_line(
+        (conic,), (f"f(-1) = g(t-) with t- = {tm:.12g}", f"f(1) = g(t+) with t+ = {tp:.12g}"))
+
+
+def _par_p24(p):
+    a = p["a"]
+    r = math.sqrt(1.0 + a * a / 4.0)
+    conic = _comp([0, 2 * r], [-1, 0, 1], [r - a / 2, 0, r + a / 2], [-1, 0, 1],
+                  (1.0, -1.0), factor=1)
+    return _with_line(
+        (conic,), ("f(i) = g(t0) at the non-real intersection (not evaluated numerically)",))
+
+
+# -- multipliers ---------------------------------------------------------------
+
+
+def _mult_p7(p):
+    a, d, e = p["a"], p["d"], p["e"]
+    q = UnivarPoly([a * a / 4.0, e, d, 1.0])
+    alpha = cubic_real_roots(q)[0]
+    return Multiplier(RationalElem(_X() - _C(alpha), _C(1.0)), alpha, q, "smallest")
+
+
+def _mult_xy2(sgn):
+    """Multiplier of P8 (sgn 1) and P9 (sgn -1)."""
+
+    def mult(p):
         c, d, e = p["c"], p["d"], p["e"]
-        sgn = 1.0 if cid == "P8" else -1.0
-        q = UnivarPoly([1.0 * (1.0 if cid == "P8" else -1.0), c, d, e])
+        one = BivarPoly.const(1.0)
+        q = UnivarPoly([sgn, c, d, e])
         roots = cubic_real_roots(q)
         rule = "smallest" if e > 0 else "largest"
         alpha = roots[0] if e > 0 else roots[-1]
@@ -564,26 +359,557 @@ def multiplier(case: CurveCase) -> Multiplier:
         quad = _M(0, 2) - _M(2, 0, sgn) - _M(1, 0, c) - _C(d)
         fpoly = quad * (one - _M(1, 0, alpha)) * (1.0 / abs(e))
         return Multiplier(RationalElem(fpoly, one), alpha, q, rule)
-    if cid in ("P10", "P11"):
+
+    return mult
+
+
+def _mult_newton(cubic, sgn):
+    """Multiplier of P10 (sgn -1) and P11 (sgn 1); cubic(a, c, d, e) selects alpha."""
+
+    def mult(p):
         a, c, d, e = p["a"], p["c"], p["d"], p["e"]
-        if cid == "P10":
-            q = UnivarPoly(
-                [a * a * c * c / 4.0 - c * d * e + e * e, d * d - a * a + c * e, -2 * d, 1.0]
-            )
-            sgn = -1.0
-        else:
-            q = UnivarPoly(
-                [a * a * c * c / 4.0 - c * d * e - e * e, d * d + a * a + c * e, -2 * d, 1.0]
-            )
-            sgn = 1.0
+        q = cubic(a, c, d, e)
         alpha = cubic_real_roots(q)[0]
         fpoly = _M(0, 2) + _M(2, 0, sgn) - _M(1, 0, c) - _C(alpha)
-        return Multiplier(RationalElem(fpoly, one), alpha, q, "smallest")
-    return Multiplier(RationalElem(one, one))
+        return Multiplier(RationalElem(fpoly, BivarPoly.const(1.0)), alpha, q, "smallest")
+
+    return mult
+
+
+# -- sampling the non-parametrized cases ---------------------------------------
+
+
+def _xs_p1(p, rng, n, spread):
+    a, b = p["a"], p["b"]
+    out = []
+    for _ in range(n):
+        if rng.random() < 0.5:
+            out.append(float(rng.uniform(1e-3, a - 1e-3)))
+        else:
+            out.append(float(rng.uniform(b + 1e-3, b + spread)))
+    return out
+
+
+def _g_x3(sgn):
+    """G of P8/P10 (sgn 1) and P9/P11 (sgn -1)."""
+    if sgn > 0:
+        return lambda p, x: x**3 + p["c"] * x * x + p["d"] * x + p["e"]
+    return lambda p, x: -(x**3) + p["c"] * x * x + p["d"] * x + p["e"]
+
+
+# -- B_k: monomial patterns and composite elements ------------------------------
+
+
+def _monos(pattern):
+    """B_k hook: the monomials pattern(k)."""
+    return lambda case, k: [BasisElement.monomial(i, j) for i, j in pattern(k)]
+
+
+def _pattern_weier(k):
+    """1, x, y, x^2, xy, y^2, ..., x^2 y^(d-2), x y^(d-1), y^d."""
+    out = [(0, 0), (1, 0), (0, 1)]
+    if k >= 2:
+        out += [(2, 0), (1, 1), (0, 2)]
+    for d in range(3, k + 1):
+        out += [(2, d - 2), (1, d - 1), (0, d)]
+    return out
+
+
+def _pattern_xcol(k):
+    """x^k, x^(k-1), x^(k-1)y, ..., x, xy, 1, y, ..., y^k  (rational type 1)."""
+    out = [(k, 0)]
+    for j in range(k - 1, 0, -1):
+        out += [(j, 0), (j, 1)]
+    out.append((0, 0))
+    out += [(0, j) for j in range(1, k + 1)]
+    return out
+
+
+def _pattern_xxy(k):
+    """1, x, y, x^2, xy, y^2, x^3, x^2 y, y^3, ..., x^d, x^(d-1)y, y^d."""
+    out = [(0, 0), (1, 0), (0, 1)]
+    if k >= 2:
+        out += [(2, 0), (1, 1), (0, 2)]
+    for d in range(3, k + 1):
+        out += [(d, 0), (d - 1, 1), (0, d)]
+    return out
+
+
+def _pattern_xmajor(k):
+    """1, x, y, x^2, xy, y^2, ..., x^d, x^(d-1)y, x^(d-2)y^2."""
+    out = [(0, 0), (1, 0), (0, 1)]
+    for d in range(2, k + 1):
+        out += [(d, 0), (d - 1, 1), (d - 2, 2)]
+    return out
+
+
+def _pattern_ymajor(k):
+    """1, x, y, x^2, xy, y^2, ..., x^d, x y^(d-1), y^d."""
+    out = [(0, 0), (1, 0), (0, 1)]
+    for d in range(2, k + 1):
+        out += [(d, 0), (1, d - 1), (0, d)]
+    return out
+
+
+def _pattern_p17(k):
+    pairs = [(0, 0)] + [(i, 0) for i in range(1, k + 1)]
+    pairs += [(0, j) for j in range(1, k + 1)]
+    pairs += [(1, j) for j in range(1, k)]
+    return pairs
+
+
+def _pattern_p18(k):
+    pairs = [(0, 0)] + [(i, 0) for i in range(1, k + 1)]
+    for j in range(0, k - 1):
+        pairs += [(j, 1), (j, 2)]
+    pairs.append((k - 1, 1))
+    return pairs
+
+
+def _shifted_x_elements(k):
+    """1, x+1, x^2-1, x(x^2-1), ..., x^(k-2)(x^2-1)."""
+    els = [
+        BasisElement.monomial(0, 0),
+        BasisElement.poly(_M(1, 0) + _C(1.0), "x+1"),
+    ]
+    for j in range(2, k + 1):
+        els.append(
+            BasisElement.poly(_M(j, 0) - _M(j - 2, 0), f"x^{j}-x^{j-2}" if j > 2 else "x^2-1")
+        )
+    return els
+
+
+def _bk_p16(case, k):
+    """_shifted_x_elements, then yx^j (j < k), y^2x^j (j < k-1)."""
+    els = _shifted_x_elements(k)
+    for j in range(0, k):
+        els.append(BasisElement.monomial(j, 1))
+    for j in range(0, k - 1):
+        els.append(BasisElement.monomial(j, 2))
+    return els
+
+
+def _bk_p20(case, k):
+    els = _shifted_x_elements(k)
+    for j in range(1, k):
+        els += [BasisElement.monomial(0, j), BasisElement.monomial(1, j)]
+    els.append(BasisElement.monomial(0, k))
+    return els
+
+
+def _chain(sign, shift):
+    """B_k of the nodal / isolated-point cases: preimages of 1, t^j -+ t^(j-2).
+
+    P4: x = t^2, y = t^3 - t (shift 0);  P5: x = t^2 + 1, y = t^3 + t (shift -1).
+    """
+
+    def bk(case, k):
+        els = [BasisElement.monomial(0, 0)]
+        for j in range(2, 3 * k + 1):
+            els.append(_chain_element(case, j, sign, shift))
+        return els
+
+    return bk
+
+
+def _chain_element(case, j, sign, shift):
+    """Polynomial function pulling back to t^j + sign*t^(j-2)."""
+    base = _M(1, 0) + _C(shift)  # pulls back to t^2
+    if j % 2 == 0:
+        p = base ** (j // 2) + sign * base ** (j // 2 - 1)
+    else:
+        p = base ** ((j - 3) // 2) * _M(0, 1)
+    p = normal_low(p, case)
+    lbl = f"[t^{j}{'-' if sign < 0 else '+'}t^{j-2}]"
+    return BasisElement.poly(p, lbl)
+
+
+# -- V^(k): the B_k element each case replaces, or its own rule ----------------
+
+
+def _v_first(new):
+    """V^(k): new(case, k) in place of the first element of B_k."""
+    return lambda case, k, bk: [new(case, k)] + list(bk[1:])
+
+
+def _v_at(var, new):
+    """V^(k): new(case, k) in place of the B_k monomial x^k (var "x") or y^k."""
+
+    def rule(case, k, bk):
+        h, at = new(case, k), (k, 0) if var == "x" else (0, k)
+        return [h if e.exps == at else e for e in bk]
+
+    return rule
+
+
+def _rat(num, den, label):
+    """Element hook of the fixed quotient num/den."""
+    return lambda case, k: BasisElement.rational(num(), den(), label)
+
+
+_Y_OVER_X = _rat(_Y, _X, "y/x")
+
+
+def _v_elliptic(case, k, bk):
+    return [bk[0], _Y_OVER_X(case, k)] + [e for e in bk[1:] if e.exps != (0, k)]
+
+
+def _v_newton_partial(case, k, bk):
+    return [e for e in bk if e.exps != (0, k)]
+
+
+def _v_p7(case, k):
+    # the multiplier pole sits over the x-direction: x^k leaves, r7 enters
+    mult = multiplier(case)
+    num = _M(1, 1, 2.0) + _C(case.params["a"])
+    den = _M(1, 0) - _C(mult.alpha)
+    return BasisElement.rational(num, den, "(2xy+a)/(x-alpha)")
+
+
+def _v_xy2(case, k):
+    mult = multiplier(case)
+    return BasisElement.rational(_M(1, 1), _C(1.0) - _M(1, 0, mult.alpha), "xy/(1-alpha*x)")
+
+
+def _v_p12(case, k):
+    g = normal_low(_M(2 * k, 0), case)
+    return BasisElement.poly(_M(0, k) - 2.0 * g, f"y^{k}-2g")
+
+
+def _v_p29(case, k, bk):
+    # the sign-flipped matching at the intersection point (0, 1) forces
+    # every companion element to vanish there
+    num = _M(3, 0) - _M(1, 0) + _M(0, 1) + _M(1, 1) - _M(0, 2)
+    els = [BasisElement.rational(num, _M(1, 0), "(x^3-x+y+xy-y^2)/x")]
+    for e in bk[1:]:
+        v = e.rat.numerator.eval(0.0, 1.0)
+        if v == 0.0:
+            els.append(e)
+        else:
+            els.append(BasisElement.poly(e.rat.numerator - _C(v), f"{e.label}-{v:g}"))
+    return els
+
+
+def _v_conic(num, label):
+    """V^(k) element num(a)/(1+x) of P16, P25 (a the conic parameter)."""
+    return _v_first(lambda case, k: BasisElement.rational(
+        num(case.params["a"]), _M(1, 0) + _C(1.0), label))
+
+
+# -- univariate lifts of the constructive cases ----------------------------------
+
+
+def _tpow(n):
+    return UnivarPoly([0.0] * n + [1.0])
+
+
+def _upow(p: UnivarPoly, n: int) -> UnivarPoly:
+    r = UnivarPoly([1.0])
+    for _ in range(n):
+        r = r * p
+    return r
+
+
+def _lift_powers(element, drops):
+    """Lift of P3 / P13: element(w) pulls back to t^w, w = 0..3k; drops(k) = (b_drop, v_drop)."""
+
+    def lift(case, k, basis_Vk):
+        els, nums = [], []
+        for w in range(0, 3 * k + 1):
+            nums.append(_tpow(w))
+            els.append(element(w))
+        return els, nums, UnivarPoly([1.0]), *drops(k)
+
+    return lift
+
+
+def _p3_lift_element(w):
+    if w == 1:
+        return BasisElement.rational(_M(0, 1), _M(1, 0), "y/x")
+    if w % 3 == 0:
+        return BasisElement.monomial(0, w // 3)
+    if w % 3 == 2:
+        return BasisElement.monomial(1, (w - 2) // 3)
+    return BasisElement.monomial(2, (w - 4) // 3)
+
+
+def _lift_chain(sign):
+    """Lift of P4 / P5: 1, then V^(k) -- the rational element over t and the chain."""
+
+    def lift(case, k, basis_Vk):
+        one = UnivarPoly([1.0])
+        els = [BasisElement.monomial(0, 0)] + list(basis_Vk(case, k).elements)
+        nums = [one, UnivarPoly([0.0, 1.0])] + [
+            _tpow(j) + sign * _tpow(j - 2) for j in range(2, 3 * k + 1)]
+        return els, nums, one, 1, 0
+
+    return lift
+
+
+def _lift_p6(case, k, basis_Vk):
+    a, d, e = case.params["a"], case.params["d"], case.params["e"]
+    T = UnivarPoly([0.0, 1.0])
+    h1 = UnivarPoly([e, -a])
+    h2 = UnivarPoly([-d, 0.0, 1.0])
+    els = [BasisElement.monomial(k, 0), BasisElement.monomial(k, 1)]
+    nums = [_upow(h1, k), _upow(h1, k) * T]
+    for j in range(k - 1, 0, -1):
+        els += [BasisElement.monomial(j, 0), BasisElement.monomial(j, 1)]
+        base = _upow(h1, j) * _upow(h2, k - j)
+        nums += [base, base * T]
+    els.append(BasisElement.monomial(0, 0))
+    nums.append(_upow(h2, k))
+    for j in range(1, k + 1):
+        els.append(BasisElement.monomial(0, j))
+        nums.append(_upow(h2, k) * _tpow(j))
+    return els, nums, h2, 1, 0
+
+
+def _lift_p12(case, k, basis_Vk):
+    c2, c1, c0 = case.params["c2"], case.params["c1"], case.params["c0"]
+    c = UnivarPoly([c0, c1, c2, 1.0])
+    els = [BasisElement.monomial(0, k), _v_p12(case, k)]
+    nums = [_upow(c, k), _upow(c, k) - 2.0 * _tpow(3 * k)]
+    for j in range(k - 1, 0, -1):
+        els.append(BasisElement.monomial(0, j))
+        nums.append(_upow(c, j) * _tpow(k - j))
+    els.append(BasisElement.monomial(0, 0))
+    nums.append(_tpow(k))
+    for i in range(1, 2 * k):
+        els.append(BasisElement.poly(normal_low(_M(i, 0), case), _mono_label(i, 0)))
+        nums.append(_tpow(k + i))
+    return els, nums, UnivarPoly([0.0, 1.0]), 1, 0
+
+
+def _p6_lift_check(p):
+    """The d-dependent singular check of P6: at d = 0 the rank restriction that
+    also drops x^k, for d > 0 avoidance of the excluded parameters +-sqrt(d)."""
+    d = p["d"]
+    if d == 0.0:
+        return "rank_restriction_drop_xk", None
+    if d > 0.0:
+        return "root_avoidance_sqrt_d", math.sqrt(d)
+    return None
 
 
 # ---------------------------------------------------------------------------
-# Sign flags for the non-real-intersection reducible cases
+# The catalog
+
+_R = CaseRecord
+
+_CATALOG = {r.id: r for r in (
+    _R(id="P1", names=("a", "b"), head=_WEIER,
+       factors=lambda p: [_M(0, 2) - _M(3, 0) + _M(2, 0, p["a"] + p["b"])
+                          - _M(1, 0, p["a"] * p["b"])],
+       check=_reject(lambda p: not (0.0 < p["a"] < p["b"]), "P1 requires 0 < a < b"),
+       mult=lambda p: Multiplier(RationalElem(_X(), _C(1.0))), xs=_xs_p1,
+       bk=_monos(_pattern_weier), vk=_v_elliptic, route="elliptic"),
+    _R(id="P2", names=("c",), head=_WEIER,
+       factors=lambda p: [_M(0, 2) - _M(3, 0) - _M(1, 0, p["c"] * p["c"])],
+       check=_reject(lambda p: p["c"] == 0.0, "P2 requires c != 0"),
+       mult=lambda p: Multiplier(RationalElem(_X(), _C(1.0))),
+       xs=lambda p, rng, n, spread: [float(rng.uniform(1e-3, 2 * spread)) for _ in range(n)],
+       bk=_monos(_pattern_weier), vk=_v_elliptic, route="elliptic"),
+    _R(id="P3", head=_WEIER, factors=lambda p: [_M(0, 2) - _M(3, 0)],
+       par=lambda p: _one_comp([0, 0, 1], [1], [0, 0, 0, 1], [1], conditions=(
+           "s'(0) = 0 for pullbacks s of polynomial functions",)),
+       bk=_monos(_pattern_weier), vk=_v_first(_Y_OVER_X),
+       lift=_lift_powers(_p3_lift_element, lambda k: (1, 0)), route="fallback"),
+    _R(id="P4", head=_WEIER, factors=lambda p: [_M(0, 2) - _M(3, 0) + _M(2, 0, 2.0) - _M(1, 0)],
+       par=lambda p: _one_comp([0, 0, 1], [1], [0, -1, 0, 1], [1], conditions=(
+           "s(1) = s(-1) for pullbacks s of polynomial functions",)),
+       bk=_chain(-1.0, 0.0), vk=_v_first(_rat(_Y, lambda: _M(1, 0) - _C(1.0), "y/(x-1)")),
+       lift=_lift_chain(-1.0), route="lift"),
+    _R(id="P5", head=_WEIER, factors=lambda p: [_M(0, 2) - _M(3, 0) + _M(2, 0)],
+       par=lambda p: _one_comp([1, 0, 1], [1], [0, 1, 0, 1], [1], conditions=(
+           "s(i) = s(-i) for pullbacks s; the isolated origin is not reached",)),
+       bk=_chain(1.0, -1.0), vk=_v_first(_Y_OVER_X), lift=_lift_chain(1.0), route="isolated"),
+    _R(id="P6", names=("a", "d", "e"), k_min=1, head=_XY2,
+       factors=lambda p: [_M(1, 2) + _M(0, 1, p["a"]) - _M(1, 0, p["d"]) - _C(p["e"])],
+       check=_p6_check, par=_par_p6, bk=_monos(_pattern_xcol),
+       vk=_v_first(lambda case, k: BasisElement.monomial(k, 1)),
+       lift=_lift_p6, route="lift", lift_check=_p6_lift_check),
+    _R(id="P7", names=("a", "d", "e"), head=_XY2,
+       factors=lambda p: [_M(1, 2) + _M(0, 1, p["a"]) - _M(2, 0) - _M(1, 0, p["d"]) - _C(p["e"])],
+       mult=_mult_p7, g=lambda p, x: x * x + p["d"] * x + p["e"],
+       bk=_monos(_pattern_xxy), vk=_v_at("x", _v_p7)),
+    _R(id="P8", names=("c", "d", "e"), head=_XY2,
+       factors=lambda p: [_M(1, 2) - _M(3, 0) - _M(2, 0, p["c"]) - _M(1, 0, p["d"]) - _C(p["e"])],
+       check=_reject(lambda p: p["e"] == 0.0, "P8 requires e != 0"),
+       mult=_mult_xy2(1.0), g=_g_x3(1), bk=_monos(_pattern_xxy), vk=_v_at("y", _v_xy2)),
+    _R(id="P9", names=("c", "d", "e"), head=_XY2,
+       factors=lambda p: [_M(1, 2) + _M(3, 0) - _M(2, 0, p["c"]) - _M(1, 0, p["d"]) - _C(p["e"])],
+       check=_reject(lambda p: p["e"] == 0.0, "P9 requires e != 0"),
+       mult=_mult_xy2(-1.0), g=_g_x3(-1), bk=_monos(_pattern_xxy), vk=_v_at("y", _v_xy2)),
+    _R(id="P10", names=("a", "c", "d", "e"), head=_XY2,
+       factors=lambda p: [_M(1, 2) + _M(0, 1, p["a"]) - _M(3, 0) - _M(2, 0, p["c"])
+                          - _M(1, 0, p["d"]) - _C(p["e"])],
+       check=_reject(lambda p: p["a"] == 0.0 or p["e"] == 0.0,
+                     "P10 requires a != 0 and e != 0"),
+       mult=_mult_newton(lambda a, c, d, e: UnivarPoly(
+           [a * a * c * c / 4.0 - c * d * e + e * e, d * d - a * a + c * e, -2 * d, 1.0]), -1.0),
+       g=_g_x3(1), bk=_monos(_pattern_xxy), vk=_v_newton_partial),
+    _R(id="P11", names=("a", "c", "d", "e"), head=_XY2,
+       factors=lambda p: [_M(1, 2) + _M(0, 1, p["a"]) + _M(3, 0) - _M(2, 0, p["c"])
+                          - _M(1, 0, p["d"]) - _C(p["e"])],
+       check=_reject(lambda p: p["a"] == 0.0 or p["e"] == 0.0,
+                     "P11 requires a != 0 and e != 0"),
+       mult=_mult_newton(lambda a, c, d, e: UnivarPoly(
+           [a * a * c * c / 4.0 - c * d * e - e * e, d * d + a * a + c * e, -2 * d, 1.0]), 1.0),
+       g=_g_x3(-1), bk=_monos(_pattern_xxy), vk=_v_newton_partial),
+    _R(id="P12", names=("c2", "c1", "c0"), head=_X3,
+       factors=lambda p: [_M(1, 1) - _M(3, 0) - _M(2, 0, p["c2"]) - _M(1, 0, p["c1"])
+                          - _C(p["c0"])],
+       check=_reject(lambda p: abs(p["c0"]) <= _TOL, "P12 requires c(0) != 0 (else reducible)"),
+       par=lambda p: _one_comp([0, 1], [1], [p["c0"], p["c1"], p["c2"], 1], [0, 1], (0.0,),
+                               conditions=("p_0 = p_{3i} * c0^i for pullbacks p/t^i",)),
+       bk=_monos(_pattern_weier), vk=_v_at("y", _v_p12), lift=_lift_p12, route="lift",
+       rank_drops=(0, 1)),  # the top q-element resp. the top tilde element
+    _R(id="P13", head=_X3, factors=lambda p: [_Y() - _M(3, 0)],
+       par=lambda p: _one_comp([0, 1], [1], [0, 0, 0, 1], [1], conditions=(
+           "coefficient of t^{3i-1} vanishes for degree-i pullbacks",)),
+       bk=_monos(_pattern_weier), vk=_v_at("y", lambda case, k: BasisElement.monomial(2, k - 1)),
+       lift=_lift_powers(lambda w: BasisElement.monomial(w % 3, w // 3),
+                         lambda k: (3 * k - 1, 3 * k)), route="fallback"),
+    _R(id="P14", names=("a",), head=_Y3,
+       factors=lambda p: [_Y(), _M(0, 1, p["a"]) + _M(2, 0) + _M(0, 2)],
+       check=_reject(lambda p: p["a"] == 0.0, "P14 requires a != 0"),
+       par=_par_p14, bk=_monos(_pattern_xmajor),
+       vk=_v_first(lambda case, k: BasisElement.rational(
+           _M(0, 1, case.params["a"]) + _M(2, 0) + _M(0, 2), _M(1, 0), "(ay+x^2+y^2)/x"))),
+    _R(id="P15", names=("a",), head=_X2Y,
+       factors=lambda p: [_Y(), _C(1.0) + _M(0, 1, p["a"]) + _M(2, 0) + _M(0, 2)],
+       check=_reject(lambda p: not abs(p["a"]) > 2.0, "P15 requires |a|>2"),
+       par=_par_p15, chi1=lambda p: -1 if p["a"] > 0 else 1, bk=_monos(_pattern_ymajor)),
+    _R(id="P16", names=("a",), head=_X2Y,
+       factors=lambda p: [_Y(), _C(1.0) + _M(0, 1, p["a"]) - _M(2, 0) - _M(0, 2)],
+       par=_par_p16, bk=_bk_p16,
+       vk=_v_conic(lambda a: _C(-1.0) + _M(0, 1, -2 * a) + _M(2, 0) + _M(0, 2, 2.0),
+                   "(-1-2ay+x^2+2y^2)/(1+x)")),
+    _R(id="P17", k_min=1, head=_X2Y, factors=lambda p: [_Y(), _M(2, 0) - _Y()],
+       par=lambda p: _with_line((_comp([0, 1], [1], [0, 0, 1], [1], factor=1),),
+                                ("f(0) = g(0)", "f'(0) = g'(0)")),
+       bk=_monos(_pattern_p17), vk=_v_first(_Y_OVER_X)),
+    _R(id="P18", head=_Y3, factors=lambda p: [_Y(), _X() - _M(0, 2)],
+       par=lambda p: _with_line((_comp([0, 0, 1], [1], [0, 1], [1], factor=1),),
+                                ("f(0) = g(0)", "f_i = g_{2i}")),
+       bk=_monos(_pattern_p18), vk=_v_at("x", lambda case, k: BasisElement.poly(
+           _M(k, 0) - _M(k - 1, 2, 2.0), f"x^{k}-2x^{k-1}y^2"))),
+    _R(id="P19", head=_X2Y, factors=lambda p: [_Y(), _C(1.0) + _Y() + _M(2, 0)],
+       par=lambda p: _with_line((_comp([0, 1], [1], [-1, 0, -1], [1], factor=1),), (
+           "f(i) = g(i) at the non-real intersection (not evaluated numerically)",)),
+       chi1=lambda p: -1, bk=_monos(_pattern_ymajor)),
+    _R(id="P20", head=_X2Y, factors=lambda p: [_Y(), _C(1.0) + _Y() - _M(2, 0)],
+       par=lambda p: _with_line((_comp([0, 1], [1], [-1, 0, 1], [1], factor=1),),
+                                ("f(-1) = g(-1)", "f(1) = g(1)")),
+       bk=_bk_p20, vk=_v_first(_rat(lambda: _C(-1.0) + _M(0, 1, -2.0) + _M(2, 0),
+                                    lambda: _M(1, 0) + _C(1.0), "(-1-2y+x^2)/(1+x)"))),
+    _R(id="P21", k_min=1, head=_XY2, factors=lambda p: [_Y(), _C(1.0) - _M(1, 1)],
+       par=lambda p: _with_line((_comp([0, 1], [1], [1], [0, 1], (0.0,), factor=1),),
+                                ("f_{i-1} = g_{i-1}", "f_i = g_i")),
+       bk=_monos(_pattern_xxy), vk=_v_at("x", lambda case, k: BasisElement.monomial(k, 1))),
+    _R(id="P22", names=("a",), k_min=1, head=_XY2,
+       factors=lambda p: [_Y(), _X() + _Y() + _M(1, 1, p["a"])],
+       check=_reject(lambda p: p["a"] == 0.0, "P22 requires a != 0"),
+       par=lambda p: _with_line(
+           (_comp([0, 1], [1], [0, -1], [1, p["a"]], (-1.0 / p["a"],), factor=1),),
+           ("f(0) = g(0)", "f_i = g_{2i}/a^i")),
+       bk=_monos(_pattern_xxy), vk=_v_at("x", lambda case, k: BasisElement.poly(
+           _M(k, 0) + _M(k - 1, 1, 2.0) + _M(k, 1, 2.0 * case.params["a"]),
+           f"x^{k}+2yx^{k-1}(1+ax)"))),
+    _R(id="P23", names=("a",), head=_Y3,
+       factors=lambda p: [_Y(), _M(0, 1, p["a"]) + _M(2, 0) - _M(0, 2)],
+       check=_reject(lambda p: p["a"] == 0.0, "P23 requires a != 0"),
+       par=lambda p: _with_line(
+           (_comp([0, p["a"]], [-1, 0, 1], [0, 0, p["a"]], [-1, 0, 1], (1.0, -1.0), factor=1),),
+           ("f(0) = g(0)", "f'(0) = -g'(0)/a")),
+       bk=_monos(_pattern_xmajor),
+       vk=_v_first(lambda case, k: BasisElement.rational(
+           _M(0, 1, case.params["a"]) + _M(2, 0) - _M(0, 2), _M(1, 0), "(ay+x^2-y^2)/x"))),
+    _R(id="P24", names=("a",), head=_X2Y,
+       factors=lambda p: [_Y(), _C(1.0) + _M(0, 1, p["a"]) + _M(2, 0) - _M(0, 2)],
+       check=_reject(lambda p: abs(abs(p["a"]) - 2.0) <= _TOL, "P24 requires |a| != 2"),
+       par=_par_p24, chi1=lambda p: 0, bk=_monos(_pattern_ymajor)),
+    _R(id="P25", names=("a",), head=_X2Y,
+       factors=lambda p: [_Y(), _C(1.0) + _M(0, 1, p["a"]) - _M(2, 0) + _M(0, 2)],
+       check=_reject(lambda p: abs(abs(p["a"]) - 2.0) <= _TOL,
+                     "P25 requires |a| != 2 (conic irreducible)"),
+       par=lambda p: _with_line(
+           (_comp([1, p["a"], 1], [p["a"], 2], [-1, 0, 1], [p["a"], 2], (-p["a"] / 2.0,),
+                  factor=1),),
+           ("f(-1) = g(-1)", "f(1) = g(1)")),
+       bk=_bk_p16,
+       vk=_v_conic(lambda a: _C(-1.0) + _M(0, 1, -2 * a) + _M(2, 0) + _M(0, 2, -2.0),
+                   "(-1-2ay+x^2-2y^2)/(1+x)")),
+    _R(id="P26", names=("a", "b"), head=_Y3,
+       factors=lambda p: [_Y(), _C(p["a"]) + _Y(), _C(p["b"]) + _Y()],
+       check=_reject(lambda p: p["a"] == 0.0 or p["b"] == 0.0 or p["a"] == p["b"],
+                     "P26 requires a != 0, b != 0, a != b"),
+       par=lambda p: _with_line(
+           (_comp([0, 1], [1], [-p["a"]], [1], factor=1),
+            _comp([0, 1], [1], [-p["b"]], [1], factor=2)),
+           ("f_i = g_i = h_i", "b*(g_{i-1} - f_{i-1}) = a*(h_{i-1} - f_{i-1})")),
+       bk=_monos(_pattern_xmajor), vk=_v_at("x", lambda case, k: BasisElement.poly(
+           (_M(0, 2) + _M(0, 1, case.params["a"])) * _M(k - 1, 0), f"y(y+a)x^{k-1}"))),
+    _R(id="P27", k_min=1, head=_X2Y, factors=lambda p: [_Y(), _X() - _Y(), _X() + _Y()],
+       par=lambda p: _with_line(
+           (_comp([0, 1], [1], [0, 1], [1], factor=1),
+            _comp([0, 1], [1], [0, -1], [1], factor=2)),
+           ("f(0) = g(0) = h(0)", "g'(0) - f'(0) = f'(0) - h'(0)")),
+       bk=_monos(_pattern_ymajor),
+       vk=_v_first(_rat(lambda: _M(2, 0) - _M(0, 2), _X, "(x^2-y^2)/x"))),
+    _R(id="P28", k_min=1, head=_XY2, factors=lambda p: [_Y(), _X(), _Y() + _C(1.0)],
+       par=lambda p: _with_line(
+           (_comp([0, 1], [1], [-1], [1], factor=2), _comp([0], [1], [0, 1], [1], factor=1)),
+           ("f(0) = h(0)", "g(0) = h(-1)", "f_i = g_i")),
+       bk=_monos(_pattern_xxy), vk=_v_at("x", lambda case, k: BasisElement.poly(
+           _M(k, 0) + _M(k, 1, 2.0), f"x^{k}(1+2y)"))),
+    _R(id="P29", head=_Y3,
+       factors=lambda p: [_Y(), _C(1.0) + _X() - _Y(), _C(1.0) - _X() - _Y()],
+       par=lambda p: _with_line(
+           (_comp([0, 1], [1], [1, 1], [1], factor=1),
+            _comp([0, 1], [1], [1, -1], [1], factor=2)),
+           ("f(-1) = g(-1)", "f(1) = h(1)", "g(0) = h(0)")),
+       bk=_monos(_pattern_xmajor), vk=_v_p29),
+)}
+
+#: ids handled by the nonnegative-line/conic sign-flag theorem
+CHI_CASES = tuple(c for c in CASE_IDS if _CATALOG[c].chi1 is not None)
+
+#: ids with a constructive univariate lift (atom extraction supported)
+CONSTRUCTIVE_CASES = tuple(c for c in CASE_IDS if _CATALOG[c].lift is not None)
+
+
+# ---------------------------------------------------------------------------
+# Readers of the record
+
+
+@lru_cache(maxsize=512)
+def _rewrite_rule(case, low):
+    """(head, rhs) with head = rhs on the curve: the defining cubic solved for head.
+
+    Cached per case (CurveCase hashes and compares by its key).
+    """
+    head = case.record.head
+    if isinstance(head[0], tuple):
+        head = head[1 if low else 0]
+    P = case.defining_poly()
+    c = P.coeffs[head]
+    return head, BivarPoly({m: -v / c for m, v in P.coeffs.items() if m != head})
+
+
+def parametrization(case: CurveCase) -> Parametrization:
+    if not case.has_parametrization():
+        raise UnsupportedCase(f"{case.id} has no rational parametrization")
+    return case.record.par(case.params)
+
+
+def multiplier(case: CurveCase) -> Multiplier:
+    build = case.record.mult
+    if build is None:
+        one = BivarPoly.const(1.0)
+        return Multiplier(RationalElem(one, one))
+    return build(case.params)
 
 
 def chi_flags(case: CurveCase):
@@ -594,13 +920,9 @@ def chi_flags(case: CurveCase):
     sign of -a; on the P19 conic y = -1 - x^2 < 0; the two y-roots of the
     P24 hyperbola multiply to -(1 + x^2), so y takes both signs there.
     """
-    if case.id not in CHI_CASES:
+    if not case.is_v2():
         raise NotApplicable(f"chi flags undefined for {case.id}")
-    if case.id == "P15":
-        chi1 = -1 if case.params["a"] > 0 else 1
-    else:
-        chi1 = {"P19": -1, "P24": 0}[case.id]
-    return chi1, 1
+    return case.record.chi1(case.params), 1
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +978,8 @@ def sample_arrays(case: CurveCase, n, seed=0):
 
 def _solve_y(case, x):
     """Real y with P(x, y) = 0, for the y-quadratic/Weierstrass families."""
-    cid, p = case.id, case.params
-    if cid in ("P1", "P2"):
+    p, g = case.params, case.record.g
+    if g is None:  # y^2 = rhs(x)
         head, rhs = case.rewrite_rule()
         v = rhs.eval(x, 0.0)
         if v < 0:
@@ -665,15 +987,7 @@ def _solve_y(case, x):
         return [math.sqrt(v), -math.sqrt(v)] if v > 0 else [0.0]
     # x*y^2 + a*y - G(x) = 0
     a = p.get("a", 0.0)
-    G = {
-        "P7": lambda: x * x + p["d"] * x + p["e"],
-        "P8": lambda: x**3 + p["c"] * x * x + p["d"] * x + p["e"],
-        "P9": lambda: -(x**3) + p["c"] * x * x + p["d"] * x + p["e"],
-        "P10": lambda: x**3 + p["c"] * x * x + p["d"] * x + p["e"],
-        "P11": lambda: -(x**3) + p["c"] * x * x + p["d"] * x + p["e"],
-    }[cid]()
-    if cid in ("P8", "P9"):
-        a = 0.0
+    G = g(p, x)
     if abs(x) < 1e-9:
         return [] if a == 0.0 else [G / a]
     disc = a * a + 4.0 * x * G
@@ -684,23 +998,13 @@ def _solve_y(case, x):
 
 
 def _real_locus_xs(case, rng, n, spread):
-    cid, p = case.id, case.params
-    if cid == "P1":
-        a, b = p["a"], p["b"]
-        out = []
-        for _ in range(n):
-            if rng.random() < 0.5:
-                out.append(float(rng.uniform(1e-3, a - 1e-3)))
-            else:
-                out.append(float(rng.uniform(b + 1e-3, b + spread)))
-        return out
-    if cid == "P2":
-        return [float(rng.uniform(1e-3, 2 * spread)) for _ in range(n)]
+    if case.record.xs is not None:
+        return case.record.xs(case.params, rng, n, spread)
     # scan for the real locus of the xy^2 family
     grid = np.linspace(-4.0 * spread, 4.0 * spread, 4001)
     ok = [x for x in grid if abs(x) > 1e-3 and _solve_y(case, float(x))]
     if not ok:
-        raise UnsupportedCase(f"could not locate real points of {cid}")
+        raise UnsupportedCase(f"could not locate real points of {case.id}")
     return [float(ok[rng.integers(0, len(ok))] + rng.uniform(-1e-4, 1e-4)) for _ in range(n)]
 
 

@@ -242,7 +242,7 @@ def extract(L: MomentSequence, opts: ExtractOptions | None = None,
     if not dec.passed():
         raise ExtractionFailed(f"decision was {dec.verdict}; nothing to extract")
 
-    o_weight = dec.o_weight if case.id == "P5" else 0.0
+    o_weight = dec.o_weight if case.record.route == "isolated" else 0.0
     Lwork = L.perturbed({(0, 0): -o_weight}) if o_weight else L
 
     lift = combined_lift(case, L.k)

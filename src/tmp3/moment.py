@@ -22,10 +22,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .bases import BasisElement, basis_Bk, basis_Rk1, basis_Vk, combined_lift
+from .bases import basis_Bk, basis_Rk1, basis_Vk, combined_lift
 from .curves import CurveCase, chi_flags
 from .linalg import Interval, SymmetricForm, Tolerances
-from .poly import BivarPoly, RationalElem, UnivarPoly, normal_low, product_on_curve
+from .poly import (BasisElement, BivarPoly, RationalElem, UnivarPoly, normal_low,
+                   product_on_curve)
 
 _M = BivarPoly.monomial
 
@@ -353,6 +354,7 @@ def decide(L: MomentSequence, opts: DecideOptions | None = None) -> Decision:
     checks.append(Check("ideal_vanishing", "residual", True, -resid / scale))
 
     case = L.case
+    route = case.record.route
     bk = _form(case, L.k, "Bk")
     MB = bk.matrix(L)
     mb = linalg.psd_margin(MB.known())
@@ -362,7 +364,7 @@ def decide(L: MomentSequence, opts: DecideOptions | None = None) -> Decision:
 
     if case.is_v2():
         return _decide_v2(L, MB, mb, checks, tol)
-    if case.id == "P5":
+    if route == "isolated":
         return _decide_p5(L, MB, mb, checks, tol)
 
     vk = _form(case, L.k, "Vk")
@@ -395,14 +397,14 @@ def decide(L: MomentSequence, opts: DecideOptions | None = None) -> Decision:
         return dec
 
     # singular routes
-    if case.id in ("P1", "P2"):
+    if route == "elliptic":
         return _decide_elliptic_singular(L, MB, MV, checks, tol)
-    if case.id in ("P4", "P6", "P12"):
+    if route == "lift":
         dec = _decide_lift_singular(L, checks, tol)
         if dec.verdict != "Inconclusive":
             return dec
         return _constructive_fallback(L, dec.details, tol) or dec
-    if case.is_constructive():
+    if route == "fallback":
         dec = _constructive_fallback(L, checks, tol)
         if dec is not None:
             return dec
@@ -492,7 +494,11 @@ def _rank_eq(Mfull, Msub, tol):
 
 
 def _decide_lift_singular(L, checks, tol):
-    """Singular branches for P4, P6 and P12 via lift-basis rank equalities."""
+    """Singular branches for P4, P6 and P12 via lift-basis rank equalities.
+
+    Each side drops the lift row the case record names (by default the last
+    one, y^k for P6); the record may ask for one more check.
+    """
     case = L.case
     _, rows_B, rows_V = _lift_rows(L)
     PM = lift_matrix(L)
@@ -503,27 +509,23 @@ def _decide_lift_singular(L, checks, tol):
         rows2 = [r for r in rows if r != drop_label_idx]
         return PM.restrict(rows2).known()
 
-    if case.id == "P12":
-        # drop the top q-element (index 0) resp. the top tilde element (1)
-        drop_B, drop_V = 0, 1
-    else:  # P4, P6: drop the last element (y^k for P6) from either side
-        drop_B = drop_V = PM.size - 1
+    drop_B, drop_V = (d % PM.size for d in case.record.rank_drops)
     okA, gA = _rank_eq(MBl, sub(rows_B, drop_B), tol)
     okB, gB = _rank_eq(MVl, sub(rows_V, drop_V), tol)
     checks.append(Check("rank_restriction_B", "rank-eq", okA, gA))
     checks.append(Check("rank_restriction_V", "rank-eq", okB, gB))
     passed = okA or okB
     branch = "rank_B" if okA else ("rank_V" if okB else "")
-    if case.id == "P6":
-        d = case.params["d"]
-        if d == 0.0:
+    extra = case.record.lift_check(case.params)
+    if extra is not None:
+        name, root = extra
+        if root is None:  # the rank restriction that also drops the first row
             okU, gU = _rank_eq(MBl, sub(rows_B, 0), tol)
-            checks.append(Check("rank_restriction_drop_xk", "rank-eq", okU, gU))
+            checks.append(Check(name, "rank-eq", okU, gU))
             passed = okU and (okA or okB)
-        elif d > 0.0:
-            ok_root, margin = _p6_root_avoidance(L, tol)
-            checks.append(Check("root_avoidance_sqrt_d", "root-avoidance",
-                                ok_root, margin))
+        else:
+            ok_root, margin = _root_avoidance(L, root, tol)
+            checks.append(Check(name, "root-avoidance", ok_root, margin))
             passed = passed and ok_root
     if passed:
         dec = Decision("MomentFunctional", checks)
@@ -536,8 +538,9 @@ def _decide_lift_singular(L, checks, tol):
     return dec
 
 
-def _p6_root_avoidance(L, tol):
-    d = L.case.params["d"]
+def _root_avoidance(L, rd, tol):
+    """Whether the generating polynomial of a psd completion keeps its real
+    roots away from +-rd, and the distance."""
     ivl = completion_interval_for(L, mode="psd")
     if ivl.empty:
         return False, -1.0
@@ -548,7 +551,6 @@ def _p6_root_avoidance(L, tol):
         g = generating_polynomial(H)
     except ValueError:
         return True, math.inf  # trivial kernel: nothing to avoid
-    rd = math.sqrt(d)
     dist = math.inf
     if g.degree() >= 1:
         roots = np.roots(list(reversed(g.coeffs)))
@@ -749,6 +751,20 @@ def _min_degc_kernel_vector(M, elements, tol):
     return out / n if n > 0 else None
 
 
+@lru_cache(maxsize=512)
+def _curve_degree_reductions(case: CurveCase, k: int):
+    """(d, normal_low of the monomial of curve degree d), d = 0..6k, d != 1."""
+    return tuple((d, normal_low(_M(*_mono_of_deg_c(d)), case))
+                 for d in range(0, 6 * k + 1) if d != 1)
+
+
+@lru_cache(maxsize=512)
+def _extension_reductions(case: CurveCase, k: int):
+    """((i, j), normal_low(x^i y^j)) for i + j <= 2k + 2, in graded order."""
+    return tuple(((i, d2 - i), normal_low(_M(i, d2 - i), case))
+                 for d2 in range(0, 2 * (k + 1) + 1) for i in range(d2 + 1))
+
+
 def _decide_elliptic_singular(L, MB, MV, checks, tol):
     """Unique square-positive extension to level k+1 for P1/P2.
 
@@ -764,12 +780,7 @@ def _decide_elliptic_singular(L, MB, MV, checks, tol):
     b_els = _form(case, k, "Bk").elements
     v_els = _form(case, k, "Vk").elements
 
-    vals = {}
-    for d in range(0, 6 * k + 1):
-        if d == 1:
-            continue
-        i, j = _mono_of_deg_c(d)
-        vals[d] = L.value(normal_low(_M(i, j), case))
+    vals = {d: L.value(p) for d, p in _curve_degree_reductions(case, k)}
 
     extra_residuals = []
     if mb < tol.pd:
@@ -836,11 +847,8 @@ def _decide_elliptic_singular(L, MB, MV, checks, tol):
         vals.setdefault(d, 0.0)
 
     beta_ext = {}
-    for d2 in range(0, 2 * (k + 1) + 1):
-        for i in range(d2 + 1):
-            j = d2 - i
-            p = normal_low(_M(i, j), case)
-            beta_ext[(i, j)] = sum(c * vals[_deg_c(a, b)] for (a, b), c in p.coeffs.items())
+    for ij, p in _extension_reductions(case, k):
+        beta_ext[ij] = sum(c * vals[_deg_c(a, b)] for (a, b), c in p.coeffs.items())
     Lext = MomentSequence(case, k + 1, beta_ext)
     MB1 = _form(case, k + 1, "Bk").matrix(Lext)
     MV1 = _form(case, k + 1, "Vk").matrix(Lext)

@@ -261,6 +261,43 @@ class RationalElem:
             return self.numerator.eval(X, Y) / d, pole
 
 
+@dataclass(frozen=True)
+class BasisElement:
+    """One labelled basis function: a monomial, a polynomial or a quotient."""
+
+    kind: str  # "monomial" | "rational" | "composite"
+    label: str
+    rat: RationalElem
+    exps: tuple | None = None  # (i, j) for monomials
+
+    @staticmethod
+    def monomial(i, j):
+        return BasisElement("monomial", _mono_label(i, j),
+                            RationalElem(BivarPoly.monomial(i, j), BivarPoly.const(1.0)), (i, j))
+
+    @staticmethod
+    def poly(p, label):
+        return BasisElement("composite", label, RationalElem(p, BivarPoly.const(1.0)))
+
+    @staticmethod
+    def rational(num, den, label):
+        return BasisElement("rational", label, RationalElem(num, den))
+
+    def eval(self, x, y):
+        return self.rat.eval(x, y)
+
+    def is_poly(self):
+        return self.rat.denominator.degree() == 0
+
+
+def _mono_label(i, j):
+    if i == 0 and j == 0:
+        return "1"
+    xs = "x" if i == 1 else f"x^{i}" if i else ""
+    ys = "y" if j == 1 else f"y^{j}" if j else ""
+    return xs + ys
+
+
 def as_rational(e):
     if isinstance(e, RationalElem):
         return e

@@ -181,6 +181,13 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize("case,params", [("P2", "c=nan"), ("P14", "a=inf")])
+    def test_generate_non_finite_params_exit3(self, capsys, case, params):
+        code, out = _run(capsys, "generate", "--case", case, "--params", params,
+                         "--atoms", "6", "--k", "2")
+        assert code == 3
+        assert "finite" in json.loads(out)["error"]
+
     def test_unknown_case_exit3(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"case": "P99", "k": 1, "moments": []}))

@@ -51,6 +51,14 @@ class TestMakeCase:
         with pytest.raises(InvalidParams):
             make_case("P3", dict(a=1.0))
 
+    @pytest.mark.parametrize("cid", [c for c, p in CASE_PARAMS.items() if p])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_params(self, cid, bad):
+        for name in CASE_PARAMS[cid]:
+            params = dict(CASE_PARAMS[cid], **{name: bad})
+            with pytest.raises(InvalidParams, match="finite"):
+                make_case(cid, params)
+
 
 class TestMultiplier:
     def test_p10_anchor(self):

@@ -7,7 +7,11 @@ benchmark labels, k = 2..6, seeds 1 and 2) the verdict, note, branch, every
 check with its margin, the completion interval, the extracted atoms or the
 extraction error, the witness coefficients, and digests of the
 ``tmp3 solve --extract`` and ``tmp3 witness`` reports; for each certificate
-(k = 2..6, valid and shifted by +1) both residuals. Floats are written with
+(k = 2..6, valid and shifted by +1) both residuals; for every label the
+digest of the ``tmp3 alpha`` report and, at k = 2..6, of the ``tmp3 info``
+report and of the ``tmp3 generate`` problem file (3k atoms, seeds 1 and 2),
+which together cover the case catalog's bases, multipliers and
+parametrizations and the atom placement on each curve. Floats are written with
 ``float.hex``, so two dumps are byte-equal exactly when the outputs are
 bit-identical: ``cmp`` of a dump from two checkouts is their verdict diff.
 The instances come from ``bench/corpus.py``, which is only imported.
@@ -39,11 +43,28 @@ def _hex(x):
 
 
 def _cli_digest(argv):
-    """(exit code, sha256 of stdout) of one in-process ``tmp3`` command."""
+    """(exit code, sha256 of stdout) of one in-process ``tmp3`` command; an
+    exception the command lets escape is reported by its type and text."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.run(argv)
+        try:
+            code = cli.run(argv)
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}", None
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def case_lines(label, cid, params):
+    """The ``alpha`` report of one label, then its ``info`` and ``generate``
+    reports at every k of the corpus."""
+    args = ["--case", cid, "--params", ",".join(f"{n}={v!r}" for n, v in params.items())]
+    yield {"id": label, "cli_alpha": _cli_digest(["alpha", *args])}
+    for k in corpus.KS:
+        line = {"id": f"{label}/k{k}", "cli_info": _cli_digest(["info", *args, "--k", str(k)])}
+        for seed in SEEDS:
+            line[f"cli_generate_{seed}"] = _cli_digest(
+                ["generate", *args, "--k", str(k), "--atoms", str(3 * k), "--seed", str(seed)])
+        yield line
 
 
 def solve_line(rec, seed, tmpdir):
@@ -110,6 +131,9 @@ def main():
     for key in keys:
         print(json.dumps(cert_line(corpus.make_certificate(SEEDS[0], *key)), sort_keys=True),
               flush=True)
+    for case in corpus.CASES:
+        for line in case_lines(*case):
+            print(json.dumps(line, sort_keys=True), flush=True)
 
 
 if __name__ == "__main__":
