@@ -51,8 +51,8 @@ class CertificateResidual:
         return self.sampled <= tol and sym_ok
 
 
-def verify_certificate(p: BivarPoly, cert: Certificate, case: CurveCase, k: int,
-                       n_samples=200, psd_tol=None) -> CertificateResidual:
+def verify_certificate(p: BivarPoly, cert: Certificate, case: CurveCase,
+                       k: int) -> CertificateResidual:
     if p.degree() > 2 * k:
         raise ShapeMismatch(f"polynomial degree {p.degree()} exceeds 2k")
     b0 = _form(case, k, "Bk")
@@ -80,16 +80,16 @@ def verify_certificate(p: BivarPoly, cert: Certificate, case: CurveCase, k: int,
         raise ShapeMismatch(f"unknown certificate form {cert.form!r}")
 
     for _, g in terms:
-        if not linalg.is_psd(g.known(), psd_tol):
+        if not linalg.is_psd(g.known()):
             raise NotPsd("certificate Gram matrix has a negative eigenvalue")
 
-    return CertificateResidual(_sampled_residual(p, terms, case, n_samples),
+    return CertificateResidual(_sampled_residual(p, terms, case),
                                _symbolic_residual(p, terms, case))
 
 
-def _sampled_residual(p, terms, case, n_samples):
-    """max over the pole-free sample points of |sum of terms - p| / max(1, sum of |terms|)."""
-    X, Y = sample_arrays(case, n_samples, seed=11)
+def _sampled_residual(p, terms, case):
+    """max over 200 pole-free sample points of |sum of terms - p| / max(1, sum of |terms|)."""
+    X, Y = sample_arrays(case, 200, seed=11)
     total, scale = np.zeros(X.shape), np.zeros(X.shape)
     for (i, j), c in p.coeffs.items():
         t = c * X**i * Y**j

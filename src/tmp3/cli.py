@@ -412,6 +412,8 @@ def run(argv) -> int:
             NotApplicable, IdealViolation, OSError, json.JSONDecodeError,
             KeyError, ValueError) as exc:
         return _fail(exc)
+    except OverflowError as exc:  # finite parameters whose powers leave the float range
+        return _fail(f"number out of floating-point range: {exc}")
 
 
 def main():

@@ -959,10 +959,11 @@ def sample_points(case: CurveCase, n, seed=0, spread=1.5):
             break
     if len(pts) < n:
         raise UnsupportedCase(f"could not sample {n} points on {case.id}")
-    assert all(
+    if not all(
         abs(P.eval(x, y)) < 1e-8 * max(1.0, P.max_abs_coeff() * (1 + abs(x) + abs(y)) ** 3)
         for x, y, _ in pts
-    )
+    ):
+        raise UnsupportedCase(f"sampled points are off {case.id} to working precision")
     return pts
 
 

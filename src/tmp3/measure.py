@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg, moment
 from .bases import basis_Vk, combined_lift
 from .curves import CurveCase, parametrization, sample_arrays, sample_points
-from .moment import Decision, MomentSequence, decide
+from .moment import Decision, HankelData, MomentSequence, decide
 from .poly import BivarPoly, RationalElem, UnsupportedCase, product_on_curve
 
 _M = BivarPoly.monomial
@@ -57,22 +57,6 @@ class AtomicMeasure:
                 beta[(i, j)] = sum(a.w * a.x**i * a.y**j for a in self.atoms)
         return beta
 
-    def total_mass(self):
-        return sum(a.w for a in self.atoms)
-
-
-@dataclass(frozen=True)
-class HankelData:
-    moments: tuple
-
-    def __post_init__(self):
-        if len(self.moments) % 2 == 0:
-            raise ValueError("Hankel data needs an odd number of moments m_0..m_2n")
-
-    def matrix(self):
-        n = (len(self.moments) + 1) // 2
-        return np.array([[self.moments[i + j] for j in range(n)] for i in range(n)])
-
 
 # ---------------------------------------------------------------------------
 # Univariate Hankel solver
@@ -107,8 +91,19 @@ def solve_hankel_R(h, tol=None):
     r = linalg.numeric_rank(H, tols.rank)
     if r == 0:
         return []
+
+    def mismatch(pairs):
+        acc = np.zeros(len(m))
+        for t, wt in pairs:
+            acc += wt * np.power(t, np.arange(len(m)))
+        return float(np.max(np.abs(acc - m))) / scale
+
     if r == n1:
         nodes, w = _pd_hankel_rule(H, m)
+        # refit the weights on the Jacobi nodes; keep whichever set matches better
+        w_ls = _vandermonde_weights(nodes, m)
+        if mismatch(list(zip(nodes, w_ls))) < mismatch(list(zip(nodes, w))):
+            w = w_ls
     else:
         lead = H[:r, :r]
         if linalg.numeric_rank(lead, tols.rank) != r:
@@ -124,20 +119,7 @@ def solve_hankel_R(h, tol=None):
                 raise NoMeasure("generating polynomial has non-real roots")
             nodes.append(float(z.real))
         nodes.sort()
-        V = np.vander(np.asarray(nodes), N=len(m), increasing=True).T
-        w, *_ = np.linalg.lstsq(V, m, rcond=None)
-
-    def mismatch(pairs):
-        acc = np.zeros(len(m))
-        for t, wt in pairs:
-            acc += wt * np.power(t, np.arange(len(m)))
-        return float(np.max(np.abs(acc - m))) / scale
-
-    # refit weights on the nodes; keep whichever weight set matches better
-    Vn = np.vander(np.asarray(nodes), N=len(m), increasing=True).T
-    w_ls, *_ = np.linalg.lstsq(Vn, m, rcond=None)
-    if mismatch(list(zip(nodes, w_ls))) < mismatch(list(zip(nodes, w))):
-        w = w_ls
+        w = _vandermonde_weights(nodes, m)
 
     pairs = []
     for t, wt in zip(nodes, w):
@@ -152,6 +134,12 @@ def solve_hankel_R(h, tol=None):
     if len(clipped) < len(pairs) and mismatch(clipped) <= max(resid, 1e-8):
         pairs = clipped
     return [(t * s, wt) for t, wt in pairs if wt > 0.0]
+
+
+def _vandermonde_weights(nodes, m):
+    """Least-squares weights on the nodes matching the moments m."""
+    V = np.vander(np.asarray(nodes), N=len(m), increasing=True).T
+    return np.linalg.lstsq(V, m, rcond=None)[0]
 
 
 def _pd_hankel_rule(H, m):
@@ -193,7 +181,6 @@ def _pd_hankel_rule(H, m):
 class ExtractOptions:
     completion: str = "midpoint"  # midpoint | left | right | value
     completion_value: float | None = None
-    max_retries: int = 8
 
 
 def _completion_candidates(ivl_pd, ivl_psd, opts: ExtractOptions):
@@ -216,25 +203,19 @@ def _completion_candidates(ivl_pd, ivl_psd, opts: ExtractOptions):
     if first is None:
         raise ValueError(f"unknown completion mode {opts.completion!r}")
     cands = [first]
-    extra = [0.5, 0.25, 0.75, 0.125, 0.875]
-    if ivl_psd is not None and not ivl_psd.empty and ivl_psd.width > 0:
+    if ivl_psd.width > 0:
         # flat completions: numerically the most benign recovery points
-        extra = [None, None] + extra
-        cands.append(ivl_psd.lo)
-        cands.append(ivl_psd.hi)
-    for f in extra:
-        if f is None:
-            continue
+        cands += [ivl_psd.lo, ivl_psd.hi]
+    for f in (0.5, 0.25, 0.75, 0.125, 0.875):
         v = lo + f * w
         if all(abs(v - c) > 1e-15 * max(1, abs(v)) for c in cands):
             cands.append(v)
-    return cands[: opts.max_retries + 1]
+    return cands
 
 
 def extract(L: MomentSequence, opts: ExtractOptions | None = None,
             decision: Decision | None = None) -> AtomicMeasure:
     """Recover an atomic representing measure for a constructive case."""
-    opts = opts or ExtractOptions()
     case = L.case
     if not case.is_constructive():
         raise UnsupportedCase(f"extraction is not available for {case.id}")
@@ -244,17 +225,28 @@ def extract(L: MomentSequence, opts: ExtractOptions | None = None,
 
     o_weight = dec.o_weight if case.record.route == "isolated" else 0.0
     Lwork = L.perturbed({(0, 0): -o_weight}) if o_weight else L
+    return _extract_from_lift(L, moment._Lift(Lwork), o_weight, opts)
 
-    lift = combined_lift(case, L.k)
-    ivl_pd = moment.completion_interval_for(Lwork, mode="pd")
-    ivl_psd = moment.completion_interval_for(Lwork, mode="psd")
-    if ivl_psd.empty:
+
+def _extract_from_lift(L: MomentSequence, work, o_weight=0.0,
+                       opts: ExtractOptions | None = None) -> AtomicMeasure:
+    """A measure for L from ``work``, the lift of L - o_weight * delta_0.
+
+    Each completion candidate of the lift's pd/psd intervals is tried in
+    turn: its Hankel is solved on the line, the atoms are pushed onto the
+    curve (with the point mass o_weight at the origin) and the first
+    measure that reproduces L's moments is returned.
+    """
+    opts = opts or ExtractOptions()
+    case, k = L.case, L.k
+    if work.psd.empty:
         raise ExtractionFailed("no psd completion of the lifted matrix")
+    lift = combined_lift(case, k)
     excluded = parametrization(case).components[0].excluded_t
     errors = []
-    for v in _completion_candidates(ivl_pd, ivl_psd, opts):
+    for v in _completion_candidates(work.pd, work.psd, opts):
         try:
-            m = moment.hankel_from_lift(Lwork, v)
+            m = moment.hankel_from_lift(case, k, work.form, v)
             pairs = solve_hankel_R(m)
         except NoMeasure as exc:
             errors.append(f"v={v:.6g}: {exc}")
@@ -267,7 +259,7 @@ def extract(L: MomentSequence, opts: ExtractOptions | None = None,
                 break
         if bad:
             continue
-        mu = _atoms_on_curve(case, L.k, lift, pairs, o_weight)
+        mu = _atoms_on_curve(case, k, lift, pairs, o_weight)
         resid = verify(mu, L)
         if resid < 1e-6:
             return mu

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -114,7 +114,9 @@ class Decision:
 @dataclass(frozen=True)
 class DecideOptions:
     tol: Tolerances = linalg.DEFAULT_TOL
-    ideal_tol: float = 1e-7
+
+
+_IDEAL_TOL = 1e-7  # decide's bound on the ideal residual, relative to the moment scale
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +309,31 @@ def _hankel_map(case: CurveCase, k: int):
     return np.linalg.inv(N), anti, np.bincount(anti)
 
 
-def hankel_from_lift(L: MomentSequence, value: float):
-    """Classical Hankel congruent to the completed lift matrix.
+def hankel_from_lift(case: CurveCase, k: int, PM: SymmetricForm, value: float):
+    """Classical Hankel congruent to the lifted matrix PM of (case, k) completed with value.
 
     With N the numerator-coefficient matrix of the lift basis, the lifted
     Gram matrix is N H N^T; H holds the weighted moments m_0..m_(6k), each
     the average of its antidiagonal of H (which enforces the exact Hankel
     structure).
     """
-    Ninv, anti, cnt = _hankel_map(L.case, L.k)
-    M = lift_matrix(L).with_value(value).known()
+    Ninv, anti, cnt = _hankel_map(case, k)
+    M = PM.with_value(value).known()
     H = Ninv @ M @ Ninv.T
     return np.bincount(anti, H.ravel()) / cnt
+
+
+@dataclass(frozen=True)
+class HankelData:
+    moments: tuple
+
+    def __post_init__(self):
+        if len(self.moments) % 2 == 0:
+            raise ValueError("Hankel data needs an odd number of moments m_0..m_2n")
+
+    def matrix(self):
+        n = (len(self.moments) + 1) // 2
+        return np.array([[self.moments[i + j] for j in range(n)] for i in range(n)])
 
 
 def generating_polynomial(H) -> UnivarPoly:
@@ -339,6 +354,28 @@ def generating_polynomial(H) -> UnivarPoly:
     raise ValueError("matrix has trivial kernel")
 
 
+class _Lift:
+    """The lifted matrix of one functional L, assembled once, and its pd and
+    psd completion intervals, each computed on first use.
+
+    The singular branches, the root check, the constructive fallback and
+    extraction all read this record; a point-mass shift of P5 is another
+    functional with its own record.
+    """
+
+    def __init__(self, L: MomentSequence):
+        self.L = L
+        self.form = lift_matrix(L)
+
+    @cached_property
+    def pd(self) -> Interval:
+        return linalg.completion_interval(self.form, mode="pd")
+
+    @cached_property
+    def psd(self) -> Interval:
+        return linalg.completion_interval(self.form, mode="psd")
+
+
 # ---------------------------------------------------------------------------
 # Decision engine
 
@@ -349,8 +386,8 @@ def decide(L: MomentSequence, opts: DecideOptions | None = None) -> Decision:
     checks = []
     resid = check_ideal_vanishing(L)
     scale = L.scale()
-    if resid > opts.ideal_tol * scale:
-        raise IdealViolation(f"ideal residual {resid:.3g} exceeds {opts.ideal_tol:.1g}*scale")
+    if resid > _IDEAL_TOL * scale:
+        raise IdealViolation(f"ideal residual {resid:.3g} exceeds {_IDEAL_TOL:.1g}*scale")
     checks.append(Check("ideal_vanishing", "residual", True, -resid / scale))
 
     case = L.case
@@ -379,11 +416,12 @@ def decide(L: MomentSequence, opts: DecideOptions | None = None) -> Decision:
     if not mv_psd:
         return _refuted(checks, vk, MV)
 
-    dec = None
+    # the lift of a constructive case: every branch below reads this one assembly
+    lift = _Lift(L) if case.is_constructive() else None
     if mb_pd and mv_pd:
         dec = Decision("MomentFunctional", checks)
-        if case.is_constructive():
-            ivl = completion_interval_for(L, mode="pd")
+        if lift is not None:
+            ivl = lift.pd
             checks.append(Check("completion_interval", "interval",
                                 not ivl.empty, ivl.width if not ivl.empty else -1.0))
             dec.completion_interval = ivl
@@ -400,31 +438,31 @@ def decide(L: MomentSequence, opts: DecideOptions | None = None) -> Decision:
     if route == "elliptic":
         return _decide_elliptic_singular(L, MB, MV, checks, tol)
     if route == "lift":
-        dec = _decide_lift_singular(L, checks, tol)
+        dec = _decide_lift_singular(lift, checks, tol)
         if dec.verdict != "Inconclusive":
             return dec
-        return _constructive_fallback(L, dec.details, tol) or dec
+        return _constructive_fallback(lift, dec.details) or dec
     if route == "fallback":
-        dec = _constructive_fallback(L, checks, tol)
+        dec = _constructive_fallback(lift, checks)
         if dec is not None:
             return dec
-    dec = Decision("Inconclusive", checks)
-    dec.note = "borderline psd data; no singular theory implemented for this case"
-    return dec
+    return Decision("Inconclusive", checks,
+                    note="borderline psd data; no singular theory implemented for this case")
 
 
-def _constructive_fallback(L, checks, tol, o_weight=0.0):
+def _constructive_fallback(lift, checks, o_weight=0.0, work=None):
     """Certify borderline psd data by exhibiting a verified measure.
 
     For the constructively solved cases an extraction that reproduces the
-    moments is a proof of existence regardless of eigenvalue margins.
+    moments is a proof of existence regardless of eigenvalue margins.  The
+    measure is recovered from ``work``, the lift of L - o_weight * delta_0
+    (``lift`` itself, the lift of L, when no point mass is split off).
     """
     from . import measure as _measure
 
-    prov = Decision("MomentFunctional", list(checks))
-    prov.o_weight = o_weight
+    L = lift.L
     try:
-        mu = _measure.extract(L, decision=prov)
+        mu = _measure._extract_from_lift(L, work or lift, o_weight)
     except Exception:
         return None
     resid = _measure.verify(mu, L)
@@ -433,12 +471,9 @@ def _constructive_fallback(L, checks, tol, o_weight=0.0):
                         -resid))
     if resid >= 1e-6:
         return None
-    dec = Decision("MomentFunctional", checks)
-    dec.o_weight = o_weight
-    dec.singular_branch = "constructive_witness"
-    dec.note = "borderline margins certified by an explicitly recovered measure"
-    dec.completion_interval = completion_interval_for(L, mode="psd")
-    return dec
+    return Decision("MomentFunctional", checks, completion_interval=lift.psd,
+                    note="borderline margins certified by an explicitly recovered measure",
+                    o_weight=o_weight, singular_branch="constructive_witness")
 
 
 def _refuted(checks, form: Form, M: SymmetricForm, rows=slice(None)):
@@ -479,74 +514,66 @@ def _decide_v2(L, MB, mb, checks, tol):
 # -- constructive singular branches (rank restrictions on the lift) ---------
 
 
-def _lift_rows(L):
-    lift = combined_lift(L.case, L.k)
-    n = len(lift.elements)
-    rows_B = [i for i in range(n) if i != lift.b_drop]
-    rows_V = [i for i in range(n) if i != lift.v_drop]
-    return lift, rows_B, rows_V
+def _rank_restrictions(lift, checks, tol, tag="", first=None):
+    """The rank restrictions on the lifted matrix of a functional.
+
+    The B side is the lift without the row that only V^(k) has, the V side
+    the lift without the row that only B_k has.  Each side must keep its
+    rank when the row the case record names (``rank_drops``; by default the
+    last one) is dropped as well; ``first`` names one more check, on the B
+    side without its first row.  Appends the checks, B and V then
+    ``first``, and returns their verdicts and the two side matrices.
+    """
+    L, PM = lift.L, lift.form
+    bases = combined_lift(L.case, L.k)
+    rows = [[i for i in range(PM.size) if i != d] for d in (bases.b_drop, bases.v_drop)]
+    sides = [PM.restrict(r).known() for r in rows]
+    ranks = [linalg.numeric_rank(S, tol.rank) for S in sides]
+    drop_B, drop_V = L.case.record.rank_drops
+    named = [(f"rank_restriction_B{tag}", 0, drop_B), (f"rank_restriction_V{tag}", 1, drop_V)]
+    if first is not None:
+        named.append((first, 0, 0))
+    oks = []
+    for name, s, drop in named:
+        keep = [r for r in rows[s] if r != drop % PM.size]
+        r_sub = linalg.numeric_rank(PM.restrict(keep).known(), tol.rank)
+        oks.append(ranks[s] == r_sub)
+        checks.append(Check(name, "rank-eq", oks[-1], float(r_sub - ranks[s])))
+    return oks, sides
 
 
-def _rank_eq(Mfull, Msub, tol):
-    r_full = linalg.numeric_rank(Mfull, tol.rank)
-    r_sub = linalg.numeric_rank(Msub, tol.rank)
-    return r_full == r_sub, float(r_sub - r_full)
-
-
-def _decide_lift_singular(L, checks, tol):
+def _decide_lift_singular(lift, checks, tol):
     """Singular branches for P4, P6 and P12 via lift-basis rank equalities.
 
-    Each side drops the lift row the case record names (by default the last
-    one, y^k for P6); the record may ask for one more check.
+    The record may ask for one more check: a rank restriction that also
+    drops the first row, or avoidance of a root.
     """
-    case = L.case
-    _, rows_B, rows_V = _lift_rows(L)
-    PM = lift_matrix(L)
-    MBl = PM.restrict(rows_B).known()
-    MVl = PM.restrict(rows_V).known()
-
-    def sub(rows, drop_label_idx):
-        rows2 = [r for r in rows if r != drop_label_idx]
-        return PM.restrict(rows2).known()
-
-    drop_B, drop_V = (d % PM.size for d in case.record.rank_drops)
-    okA, gA = _rank_eq(MBl, sub(rows_B, drop_B), tol)
-    okB, gB = _rank_eq(MVl, sub(rows_V, drop_V), tol)
-    checks.append(Check("rank_restriction_B", "rank-eq", okA, gA))
-    checks.append(Check("rank_restriction_V", "rank-eq", okB, gB))
-    passed = okA or okB
+    case = lift.L.case
+    name, root = case.record.lift_check(case.params) or (None, None)
+    (okA, okB, *okU), _ = _rank_restrictions(lift, checks, tol,
+                                             first=name if root is None else None)
+    passed = (okA or okB) and all(okU)
     branch = "rank_B" if okA else ("rank_V" if okB else "")
-    extra = case.record.lift_check(case.params)
-    if extra is not None:
-        name, root = extra
-        if root is None:  # the rank restriction that also drops the first row
-            okU, gU = _rank_eq(MBl, sub(rows_B, 0), tol)
-            checks.append(Check(name, "rank-eq", okU, gU))
-            passed = okU and (okA or okB)
-        else:
-            ok_root, margin = _root_avoidance(L, root, tol)
-            checks.append(Check(name, "root-avoidance", ok_root, margin))
-            passed = passed and ok_root
+    if root is not None:
+        ok_root, margin = _root_avoidance(lift, root)
+        checks.append(Check(name, "root-avoidance", ok_root, margin))
+        passed = passed and ok_root
     if passed:
-        dec = Decision("MomentFunctional", checks)
-        dec.singular_branch = branch
-        dec.completion_interval = completion_interval_for(L, mode="psd")
-        return dec
-    dec = Decision("Inconclusive", checks)
-    dec.note = "psd but the singular rank conditions fail; by the case theorem " \
-               "this indicates no representing measure (reported conservatively)"
-    return dec
+        return Decision("MomentFunctional", checks, completion_interval=lift.psd,
+                        singular_branch=branch)
+    return Decision("Inconclusive", checks,
+                    note="psd but the singular rank conditions fail; by the case theorem "
+                         "this indicates no representing measure (reported conservatively)")
 
 
-def _root_avoidance(L, rd, tol):
+def _root_avoidance(lift, rd):
     """Whether the generating polynomial of a psd completion keeps its real
     roots away from +-rd, and the distance."""
-    ivl = completion_interval_for(L, mode="psd")
+    ivl = lift.psd
     if ivl.empty:
         return False, -1.0
-    m = hankel_from_lift(L, ivl.midpoint())
-    n = (len(m) + 1) // 2
-    H = np.array([[m[i + j] for j in range(n)] for i in range(n)])
+    L = lift.L
+    H = HankelData(tuple(hankel_from_lift(L.case, L.k, lift.form, ivl.midpoint()))).matrix()
     try:
         g = generating_polynomial(H)
     except ValueError:
@@ -560,16 +587,10 @@ def _root_avoidance(L, rd, tol):
     return dist > 1e-6, dist
 
 
-def completion_interval_for(L: MomentSequence, mode="psd") -> Interval:
-    """Completion interval of the single unknown entry of the lifted matrix."""
-    return linalg.completion_interval(lift_matrix(L), mode=mode)
-
-
 # -- isolated-point case -----------------------------------------------------
 
 
-def _p5_schur_data(L):
-    PM = lift_matrix(L)
+def _p5_schur_data(PM):
     M = PM.entries
     rest = list(range(2, PM.size))
     Bblk = M[np.ix_(rest, rest)]
@@ -579,27 +600,19 @@ def _p5_schur_data(L):
     sigma1 = float(M[0, 0] - a @ Bp @ a)
     sigma2 = float(M[1, 1] - b @ Bp @ b)
     range_b = float(np.linalg.norm(Bblk @ (Bp @ b) - b))
-    range_a = float(np.linalg.norm(Bblk @ (Bp @ a) - a))
-    return PM, Bblk, sigma1, sigma2, range_a, range_b
+    return Bblk, sigma1, sigma2, range_b
 
 
-def _p5_shift(L: MomentSequence, lam: float) -> MomentSequence:
-    """L - lam * (evaluation at the isolated point (0,0))."""
-    return L.perturbed({(0, 0): -lam})
+def _p5_shift(lift, lam):
+    """The lift of L - lam * (evaluation at the isolated point (0,0)); at lam = 0
+    that functional is L, whose lift is ``lift`` itself."""
+    return _Lift(lift.L.perturbed({(0, 0): -lam})) if lam else lift
 
 
-def _p5_no_origin_singular(L, checks, tol, tag=""):
+def _p5_no_origin_singular(lift, checks, tol, tag=""):
     """Rank conditions of the measure-avoiding-the-origin theorem."""
-    lift, rows_B, rows_V = _lift_rows(L)
-    PM = lift_matrix(L)
-    MBl = PM.restrict(rows_B).known()
-    MVl = PM.restrict(rows_V).known()
-    okP = linalg.psd_margin(MBl) >= -tol.psd and linalg.psd_margin(MVl) >= -tol.psd
-    last = PM.size - 1
-    okA, gA = _rank_eq(MBl, PM.restrict([r for r in rows_B if r != last]).known(), tol)
-    okB, gB = _rank_eq(MVl, PM.restrict([r for r in rows_V if r != last]).known(), tol)
-    checks.append(Check(f"rank_restriction_B{tag}", "rank-eq", okA, gA))
-    checks.append(Check(f"rank_restriction_V{tag}", "rank-eq", okB, gB))
+    (okA, okB), sides = _rank_restrictions(lift, checks, tol, tag)
+    okP = all(linalg.psd_margin(S) >= -tol.psd for S in sides)
     return okP and (okA or okB), ("rank_B" if okA else "rank_V" if okB else "")
 
 
@@ -611,7 +624,8 @@ def _decide_p5(L, MB, mb, checks, tol):
     are the moment matrix, the common Schur block B, and b in range(B).
     """
     case = L.case
-    PM, Bblk, sigma1, sigma2, range_a, range_b = _p5_schur_data(L)
+    lift = _Lift(L)
+    Bblk, sigma1, sigma2, range_b = _p5_schur_data(lift.form)
     scale = L.scale()
     bpsd = linalg.psd_margin(Bblk)
     checks.append(Check("schur_block_psd", "psd", bpsd >= -tol.psd, bpsd))
@@ -622,7 +636,7 @@ def _decide_p5(L, MB, mb, checks, tol):
     if bpsd < -tol.psd:
         # the Schur block over the tilde elements; the lift multiplier is 1
         return _refuted(checks, _form(case, L.k, "lift"),
-                        SymmetricForm(list(PM.labels[2:]), Bblk), slice(2, None))
+                        SymmetricForm(list(lift.form.labels[2:]), Bblk), slice(2, None))
     if range_b > 1e-6 * scale:
         return Decision("Inconclusive", checks,
                         note="b outside the range of the Schur block")
@@ -631,38 +645,33 @@ def _decide_p5(L, MB, mb, checks, tol):
         checks.append(Check("sigma2_positive", "pd", sigma2 > -tol.psd * scale,
                             sigma2 / scale))
         if sigma2 > -tol.psd * scale:
-            dec = Decision("MomentFunctionalOnNonIsolated", checks)
-            dec.completion_interval = completion_interval_for(L, mode="psd")
-            dec.singular_branch = "nonsingular"
-            return dec
+            return Decision("MomentFunctionalOnNonIsolated", checks,
+                            completion_interval=lift.psd, singular_branch="nonsingular")
         checks.append(Check("sigma1_exceeds_minus_sigma2", "pd",
                             sigma1 > -sigma2 - tol.psd * scale, (sigma1 + sigma2) / scale))
         if sigma1 > -sigma2 - tol.psd * scale:
-            lam = max(0.5 * (sigma1 + sigma2), 0.0)
-            dec = Decision("MomentFunctional", checks)
-            dec.o_weight = lam
-            dec.singular_branch = "origin_split"
-            return dec
+            return Decision("MomentFunctional", checks, o_weight=max(0.5 * (sigma1 + sigma2), 0.0),
+                            singular_branch="origin_split")
         lam0 = sigma1
         checks.append(Check("lambda0_nonneg", "pd", lam0 >= -tol.psd * scale, lam0 / scale))
         if lam0 >= -tol.psd * scale:
             ok, br = _p5_no_origin_singular(
-                _p5_shift(L, max(lam0, 0.0)), checks, tol, tag="_lambda0")
+                _p5_shift(lift, max(lam0, 0.0)), checks, tol, tag="_lambda0")
             if ok:
-                dec = Decision("MomentFunctional", checks)
-                dec.o_weight = max(lam0, 0.0)
-                dec.singular_branch = f"lambda0:{br}"
-                return dec
-        return _refuted_p5_sigma(L, checks, sigma1, sigma2, scale, tol)
+                return Decision("MomentFunctional", checks, o_weight=max(lam0, 0.0),
+                                singular_branch=f"lambda0:{br}")
+        # all three branches failed: refuted when they did so with clear margins
+        if sigma1 < -tol.psd * scale or sigma1 + sigma2 < -1e-6 * scale:
+            return Decision("NotMomentFunctional", checks,
+                            note="the point-mass interval at the isolated point is empty")
+        return Decision("Inconclusive", checks, note="borderline isolated-point data")
 
     # singular moment matrix: prefer a measure avoiding the isolated point,
     # then the lambda0 point-mass branch of the singular theorem
-    ok0, br0 = _p5_no_origin_singular(L, checks, tol, tag="")
+    ok0, br0 = _p5_no_origin_singular(lift, checks, tol, tag="")
     if ok0:
-        dec = Decision("MomentFunctional", checks)
-        dec.singular_branch = f"no_origin:{br0}"
-        return dec
-    dec = _constructive_fallback(L, checks, tol, o_weight=0.0)
+        return Decision("MomentFunctional", checks, singular_branch=f"no_origin:{br0}")
+    dec = _constructive_fallback(lift, checks)
     if dec is not None:
         return dec
     lam0 = sigma1
@@ -670,26 +679,16 @@ def _decide_p5(L, MB, mb, checks, tol):
     if lam0 < -tol.psd * scale:
         return Decision("Inconclusive", checks,
                         note="singular moment matrix with negative point-mass weight")
-    ok, br = _p5_no_origin_singular(_p5_shift(L, max(lam0, 0.0)), checks, tol, tag="_lambda0")
+    lam = max(lam0, 0.0)
+    shifted = _p5_shift(lift, lam)
+    ok, br = _p5_no_origin_singular(shifted, checks, tol, tag="_lambda0")
     if ok:
-        dec = Decision("MomentFunctional", checks)
-        dec.o_weight = max(lam0, 0.0)
-        dec.singular_branch = f"lambda0:{br}"
-        return dec
-    dec = _constructive_fallback(L, checks, tol, o_weight=max(lam0, 0.0))
+        return Decision("MomentFunctional", checks, o_weight=lam, singular_branch=f"lambda0:{br}")
+    dec = _constructive_fallback(lift, checks, o_weight=lam, work=shifted)
     if dec is not None:
         return dec
     return Decision("Inconclusive", checks,
                     note="singular isolated-point data outside the theorem branches")
-
-
-def _refuted_p5_sigma(L, checks, sigma1, sigma2, scale, tol):
-    """All three isolated-point branches failed with clear margins."""
-    if sigma1 < -tol.psd * scale or sigma1 + sigma2 < -1e-6 * scale:
-        dec = Decision("NotMomentFunctional", checks)
-        dec.note = "the point-mass interval at the isolated point is empty"
-        return dec
-    return Decision("Inconclusive", checks, note="borderline isolated-point data")
 
 
 # -- smooth Weierstrass singular branch --------------------------------------

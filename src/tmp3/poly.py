@@ -286,9 +286,6 @@ class BasisElement:
     def eval(self, x, y):
         return self.rat.eval(x, y)
 
-    def is_poly(self):
-        return self.rat.denominator.degree() == 0
-
 
 def _mono_label(i, j):
     if i == 0 and j == 0:

@@ -9,7 +9,7 @@ from conftest import CASE_PARAMS, P6_VARIANTS
 from tmp3 import linalg, make_case
 from tmp3.bases import basis_Bk, basis_Rk1, basis_Vk, combined_lift
 from tmp3.curves import chi_flags, multiplier, parametrization, sample_points
-from tmp3.linalg import Partition, pinv_cutoff, schur
+from tmp3.linalg import Partition, completion_interval, pinv_cutoff, schur
 from tmp3.measure import (
     Atom,
     AtomicMeasure,
@@ -24,7 +24,6 @@ from tmp3.measure import (
 from tmp3.moment import (
     MomentSequence,
     check_ideal_vanishing,
-    completion_interval_for,
     decide,
     lift_matrix,
     localizing_matrix,
@@ -161,7 +160,7 @@ def test_criterion_6_completion():
         e0 = lift.elements[lift.unknown[0]]
         e1 = lift.elements[lift.unknown[1]]
         v_true = sum(a.w * e0.eval(a.x, a.y) * e1.eval(a.x, a.y) for a in mu.atoms)
-        ivl = completion_interval_for(L, mode="psd")
+        ivl = completion_interval(lift_matrix(L), mode="psd")
         assert not ivl.empty, cid
         assert ivl.contains(v_true, slack=1e-7 * (1 + abs(v_true))), (cid, v_true, ivl)
         dec0 = decide(L)

@@ -104,9 +104,10 @@ class TestSolve:
 
     def test_completion_value_flag(self, tmp_path, capsys):
         path, L, _ = _write_problem(tmp_path)
-        from tmp3.moment import completion_interval_for
+        from tmp3.linalg import completion_interval
+        from tmp3.moment import lift_matrix
 
-        ivl = completion_interval_for(L, mode="pd")
+        ivl = completion_interval(lift_matrix(L), mode="pd")
         v = ivl.midpoint()
         code, out = _run(capsys, "solve", "--input", str(path), "--extract",
                          "--completion", f"value={v}")
@@ -187,6 +188,14 @@ class TestOtherCommands:
                          "--atoms", "6", "--k", "2")
         assert code == 3
         assert "finite" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("case,params", [("P2", "c=1e200"), ("P14", "a=1e300")])
+    def test_generate_huge_params_exit3(self, capsys, case, params):
+        """Finite parameters whose powers overflow are malformed input, not a crash."""
+        code, out = _run(capsys, "generate", "--case", case, "--params", params,
+                         "--atoms", "6", "--k", "2")
+        assert code == 3
+        assert "error" in json.loads(out)
 
     def test_unknown_case_exit3(self, tmp_path, capsys):
         path = tmp_path / "p.json"

@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import CASE_PARAMS, CONSTRUCTIVE, P6_VARIANTS
-from tmp3 import linalg, make_case
+from tmp3 import linalg, make_case, moment
 from tmp3.bases import basis_Bk, basis_Rk1, basis_Vk, combined_lift
 from tmp3.curves import chi_flags, sample_points
-from tmp3.measure import Atom, AtomicMeasure, generate, generate_measure
+from tmp3.measure import Atom, AtomicMeasure, extract, generate, generate_measure
 from tmp3.moment import (
     IdealViolation,
     MomentSequence,
     _form,
     _v2_quotient_elements,
     check_ideal_vanishing,
-    completion_interval_for,
     decide,
     generating_polynomial,
     hankel_from_lift,
@@ -188,7 +187,7 @@ class TestDecide:
         case = make_case("P12", CASE_PARAMS["P12"])
         L, _ = generate(case, 2, n_atoms=6, seed=5)
         dec = decide(L)
-        ivl = completion_interval_for(L, mode="pd")
+        ivl = linalg.completion_interval(lift_matrix(L), mode="pd")
         verdicts = {dec.verdict}
         for v in ivl.interior_points(5):
             mu = extract(L, ExtractOptions(completion="value", completion_value=v))
@@ -415,13 +414,56 @@ def test_hankel_from_lift_matches_reference(cid, params):
         for seed in range(k, k + 5):
             mu = generate_measure(case, 3 * k + 1, k, seed=seed)
             L = MomentSequence(case, k, mu.moments(k))
-            ivl = completion_interval_for(L, mode="psd")
+            ivl = linalg.completion_interval(lift_matrix(L), mode="psd")
             if not ivl.empty:
                 break
         assert not ivl.empty
         values = [ivl.midpoint(), ivl.lo, ivl.hi]
-        pd = completion_interval_for(L, mode="pd")
+        pd = linalg.completion_interval(lift_matrix(L), mode="pd")
         if not pd.empty:
             values.append(pd.midpoint())
+        PM = lift_matrix(L)
         for v in values:
-            assert np.array_equal(hankel_from_lift(L, v), _reference_hankel(L, v))
+            assert np.array_equal(hankel_from_lift(L.case, L.k, PM, v), _reference_hankel(L, v))
+
+
+#: (case, params, k, atoms, seed, mass at the origin, verdict, branch): one
+#: instance per way through the lift
+LIFT_ROUTES = [
+    ("P4", {}, 2, 2, 0, 0.0, "MomentFunctional", "rank_B"),
+    ("P6", P6_VARIANTS[0], 3, 10, 0, 0.0, "MomentFunctional", "constructive_witness"),
+    ("P6", P6_VARIANTS[1], 4, 13, 0, 0.0, "Inconclusive", ""),  # the fallback fails too
+    ("P12", CASE_PARAMS["P12"], 3, 9, 1, 0.0, "MomentFunctional", "constructive_witness"),
+    ("P3", {}, 2, 2, 0, 0.0, "MomentFunctional", "constructive_witness"),
+    ("P13", {}, 2, 2, 0, 0.0, "MomentFunctional", "constructive_witness"),
+    ("P5", {}, 2, 6, 0, 0.0, "MomentFunctionalOnNonIsolated", "nonsingular"),
+    ("P5", {}, 2, 6, 1, 0.0, "MomentFunctional", "constructive_witness"),
+    ("P5", {}, 2, 1, 0, 0.5, "MomentFunctional", "lambda0:rank_B"),  # shifts L
+]
+
+
+@pytest.mark.parametrize("cid,params,k,n,seed,w0,verdict,branch", LIFT_ROUTES)
+def test_lift_assembled_once_per_functional(monkeypatch, cid, params, k, n, seed, w0,
+                                            verdict, branch):
+    """decide and extract each assemble the lifted matrix of a functional (L,
+    or a point-mass shift of it on P5) at most once."""
+    case = make_case(cid, params)
+    mu = generate_measure(case, n, k, seed=seed)
+    if w0:
+        mu = AtomicMeasure(mu.atoms + (Atom(0.0, 0.0, w0),))
+    L = MomentSequence(case, k, mu.moments(k))
+    assembled = []
+    real = moment.lift_matrix
+
+    def counting(L):
+        assembled.append(tuple(sorted(L.beta.items())))
+        return real(L)
+
+    monkeypatch.setattr(moment, "lift_matrix", counting)
+    dec = decide(L)
+    assert (dec.verdict, dec.singular_branch) == (verdict, branch)
+    assert assembled and len(set(assembled)) == len(assembled)
+    if dec.passed():
+        assembled.clear()
+        extract(L, decision=dec)
+        assert len(assembled) == 1
