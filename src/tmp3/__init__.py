@@ -25,24 +25,19 @@ from .curves import (
     sample_points,
 )
 from .linalg import (
+    Completion,
     Interval,
-    Partition,
     SymmetricForm,
     Tolerances,
     completion_interval,
-    is_pd,
-    is_psd,
     kernel_basis,
     numeric_rank,
-    restrict,
-    schur,
 )
 from .measure import (
     Atom,
     AtomicMeasure,
     ExtractionFailed,
     ExtractOptions,
-    HankelData,
     NoMeasure,
     NoWitness,
     extract,

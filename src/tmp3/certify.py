@@ -80,7 +80,7 @@ def verify_certificate(p: BivarPoly, cert: Certificate, case: CurveCase,
         raise ShapeMismatch(f"unknown certificate form {cert.form!r}")
 
     for _, g in terms:
-        if not linalg.is_psd(g.known()):
+        if linalg.psd_margin(g.known()) < -linalg.DEFAULT_TOL.psd:
             raise NotPsd("certificate Gram matrix has a negative eigenvalue")
 
     return CertificateResidual(_sampled_residual(p, terms, case),

@@ -76,6 +76,13 @@ def _integer(x):
     return int(v)
 
 
+def _exponent(x):
+    v = _integer(x)
+    if v < 0:
+        raise InputError(f"negative exponent {v} in JSON payload")
+    return v
+
+
 def _read_json(path, what, kind):
     """Parsed contents of path, which must hold a JSON value of type kind."""
     try:
@@ -113,7 +120,7 @@ def load_problem(path) -> tuple:
         raise KTooSmall(case.id, k, case.k_min)
     beta = {}
     for rec in _records(data["moments"], "moments"):
-        beta[(_integer(rec["i"]), _integer(rec["j"]))] = _finite(rec["v"])
+        beta[(_exponent(rec["i"]), _exponent(rec["j"]))] = _finite(rec["v"])
     try:
         L = MomentSequence(case, k, beta)
     except IncompleteMoments as exc:
@@ -148,7 +155,7 @@ def poly_to_json(p: BivarPoly):
 
 
 def poly_from_json(data):
-    return BivarPoly({(_integer(r["i"]), _integer(r["j"])): _finite(r["v"])
+    return BivarPoly({(_exponent(r["i"]), _exponent(r["j"])): _finite(r["v"])
                       for r in _records(data, "polynomial")})
 
 
@@ -178,10 +185,7 @@ def _tolerances(args):
 def cmd_solve(args):
     L, _ = load_problem(args.input)
     tol = _tolerances(args)
-    try:
-        dec = moment.decide(L, DecideOptions(tol=tol))
-    except IdealViolation as exc:
-        return _fail(exc)
+    dec = moment.decide(L, DecideOptions(tol=tol))
     report = {
         "verdict": dec.verdict,
         "case": L.case.id,
@@ -201,6 +205,8 @@ def cmd_solve(args):
         mode, value = args.completion, None
         if mode.startswith("value="):
             value = float(mode.split("=", 1)[1])
+            if not math.isfinite(value):
+                raise InputError(f"non-finite completion value {value!r}")
             mode = "value"
         try:
             mu = measure.extract(
@@ -230,6 +236,8 @@ def _write_report(report, out):
 
 
 def cmd_generate(args):
+    if args.atoms < 0:
+        raise InputError(f"--atoms must be nonnegative, got {args.atoms}")
     case = make_case(args.case, _parse_params(args.params))
     L, mu = measure.generate(case, args.k, n_atoms=args.atoms, seed=args.seed)
     data = dump_problem(L, mu)
@@ -258,10 +266,7 @@ def cmd_alpha(args):
 
 def cmd_witness(args):
     L, _ = load_problem(args.input)
-    try:
-        dec = moment.decide(L, DecideOptions(tol=_tolerances(args)))
-    except IdealViolation as exc:
-        return _fail(exc)
+    dec = moment.decide(L, DecideOptions(tol=_tolerances(args)))
     try:
         p = measure.witness(L, decision=dec)
     except NoWitness as exc:

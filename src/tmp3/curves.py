@@ -63,9 +63,6 @@ class AffineMap:
     def apply(self, x, y):
         return (self.a * x + self.b * y + self.c, self.d * x + self.e * y + self.f)
 
-    def det(self):
-        return self.a * self.e - self.b * self.d
-
     def then(self, other: "AffineMap") -> "AffineMap":
         """Composition: apply self first, then other."""
         return AffineMap(

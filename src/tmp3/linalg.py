@@ -1,5 +1,5 @@
-"""Symmetric-matrix services: PSD tests, rank, kernels, Schur complements,
-and the completion interval for one unknown symmetric entry pair.
+"""Symmetric-matrix services: psd margins, rank, kernels, and Albert's
+criterion for a form with one unknown symmetric entry pair.
 
 All tolerances are relative to the matrix scale.  PSD decisions go through
 eigenvalues rather than Cholesky so callers can report margins.
@@ -9,12 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-
-
-class MultipleUnknowns(ValueError):
-    """completion_interval supports exactly one unknown symmetric pair."""
 
 
 @dataclass(frozen=True)
@@ -30,12 +27,6 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-
-
-@dataclass(frozen=True)
-class Partition:
-    top: tuple
-    bottom: tuple
 
 
 @dataclass
@@ -98,27 +89,9 @@ def _norm(M):
     return float(np.max(np.abs(M)))
 
 
-def is_psd(M, tol=None):
-    M = _as_matrix(M)
-    if M.size == 0:
-        return True
-    tol = DEFAULT_TOL.psd if tol is None else tol
-    w = np.linalg.eigvalsh(M)
-    return bool(w[0] >= -tol * max(1.0, _norm(M)))
-
-
-def is_pd(M, tol=None):
-    M = _as_matrix(M)
-    if M.size == 0:
-        return True
-    tol = DEFAULT_TOL.pd if tol is None else tol
-    w = np.linalg.eigvalsh(M)
-    return bool(w[0] >= tol * _norm(M)) if _norm(M) > 0 else False
-
-
 def psd_margin(M):
     """Relative smallest eigenvalue; positive means strictly inside the cone."""
-    M = _as_matrix(M)
+    M = np.asarray(M, dtype=float)
     if M.size == 0:
         return math.inf
     w = np.linalg.eigvalsh(M)
@@ -126,7 +99,7 @@ def psd_margin(M):
 
 
 def numeric_rank(M, tol=None):
-    M = _as_matrix(M)
+    M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0
     tol = DEFAULT_TOL.rank if tol is None else tol
@@ -138,7 +111,7 @@ def numeric_rank(M, tol=None):
 
 def kernel_basis(M, tol=None):
     """Orthonormal basis of the numerical kernel (columns)."""
-    M = _as_matrix(M)
+    M = np.asarray(M, dtype=float)
     tol = DEFAULT_TOL.rank if tol is None else tol
     if M.size == 0:
         return np.zeros((0, 0))
@@ -152,23 +125,6 @@ def kernel_basis(M, tol=None):
 
 def pinv_cutoff(M, cutoff=1e-10):
     return np.linalg.pinv(M, rcond=cutoff)
-
-
-def schur(M, part: Partition):
-    """Generalized Schur complement M/D = A - B D^+ B^T for the partition."""
-    M = _as_matrix(M)
-    top = list(part.top)
-    bot = list(part.bottom)
-    A = M[np.ix_(top, top)]
-    B = M[np.ix_(top, bot)]
-    D = M[np.ix_(bot, bot)]
-    if not bot:
-        return A
-    return A - B @ pinv_cutoff(D) @ B.T
-
-
-def restrict(form: SymmetricForm, indices):
-    return form.restrict(indices)
 
 
 @dataclass(frozen=True)
@@ -187,80 +143,79 @@ class Interval:
             raise ValueError("empty interval")
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, v, slack=0.0):
-        return (not self.empty) and (self.lo - slack <= v <= self.hi + slack)
 
-    def interior_points(self, n):
-        """n deterministic points strictly inside the interval."""
-        if self.empty:
-            return []
-        if self.width == 0.0:
-            return [self.lo] * n
-        return [self.lo + self.width * (i + 1) / (n + 1) for i in range(n)]
+@dataclass(eq=False)
+class Completion:
+    """Albert's criterion for a form with one unknown pair (p, q).
 
-
-def completion_interval(form: SymmetricForm, mode="psd", tol=None):
-    """All values of the unknown pair making the matrix psd (or pd).
-
-    Closed form: with D the principal block avoiding the unknown rows p, q
-    and a, b the known parts of those rows, M(v) is psd exactly when D is
-    psd, a and b lie in the range of D (Albert), and the quadratic
-    (v - c0)^2 <= s1*s2 holds, where s1 = M[p,p] - a D^+ a,
-    s2 = M[q,q] - b D^+ b and c0 = a D^+ b.  The psd interval is closed
-    and the pd interval open.  D is a principal submatrix of every
-    completion, so by Cauchy interlacing lambda_min(M(v)) <= lambda_min(D)
-    for all v: when D is not numerically pd, the pd interval is empty.
+    D is the principal block avoiding rows p and q, and a, b are the known
+    parts of those rows.  M(v) is psd exactly when D is psd, a and b lie in
+    the range of D, and (v - c0)^2 <= s1*s2 (``schur``).  D is decomposed
+    once: its smallest eigenvalue is read here, its pseudo-inverse is taken
+    on first need, and the pd and psd intervals and every Schur quantity read
+    those two.  The psd interval is closed and the pd interval open.  D is a
+    principal submatrix of every completion, so by Cauchy interlacing
+    lambda_min(M(v)) <= lambda_min(D) for all v: when D is not numerically
+    pd, the pd interval is empty and no pseudo-inverse is taken for it.
     """
+
+    D: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    corner: tuple  # (M[p, p], M[q, q])
+    scale: float  # max(1, |M|) over the known entries
+    lmin: float  # smallest eigenvalue of D (inf when D is empty)
+    tol: Tolerances
+
+    @property
+    def margin(self):
+        """psd_margin of D."""
+        return float(self.lmin / max(1.0, _norm(self.D)))
+
+    @cached_property
+    def schur(self):
+        """(s1, s2, c0, |a - D D^+ a|, |b - D D^+ b|): the generalized Schur
+        complement of D, s1 = M[p, p] - a D^+ a, s2 = M[q, q] - b D^+ b and
+        c0 = a D^+ b, with the range residuals of a and b."""
+        D, a, b = self.D, self.a, self.b
+        Dp = pinv_cutoff(D)
+        return (self.corner[0] - a @ Dp @ a, self.corner[1] - b @ Dp @ b, a @ Dp @ b,
+                np.linalg.norm(a - D @ (Dp @ a)), np.linalg.norm(b - D @ (Dp @ b)))
+
+    @cached_property
+    def psd(self) -> Interval:
+        return self._interval(closed=True)
+
+    @cached_property
+    def pd(self) -> Interval:
+        # no completion is pd: by interlacing lambda_min(M(v)) <= lambda_min(D) for every v
+        if self.lmin <= self.tol.pd * max(1.0, _norm(self.D)):
+            return Interval()
+        return self._interval(closed=False)
+
+    def _interval(self, closed):
+        scale, eps = self.scale, self.tol.psd * self.scale
+        if self.lmin < -eps:
+            return Interval()
+        s1, s2, c0, ra, rb = self.schur
+        if max(ra, rb) > 1e-7 * scale or min(s1, s2) < -eps:
+            return Interval()
+        if not closed and min(s1, s2) <= eps:
+            return Interval()
+        r = math.sqrt(max(s1, 0.0) * max(s2, 0.0))
+        return Interval(c0 - r, c0 + r, closed=closed, empty=False)
+
+
+def completion_interval(form: SymmetricForm, tol=None) -> Completion:
+    """The decomposition behind all values of the unknown pair of ``form`` that
+    make the matrix psd (``.psd``) or pd (``.pd``): one eigvalsh of D."""
     if form.unknown is None:
         raise ValueError("form has no unknown entry")
-    if mode not in ("psd", "pd"):
-        raise ValueError(mode)
-    tols = tol or DEFAULT_TOL
     p, q = form.unknown
-    n = form.size
-    rest = [i for i in range(n) if i not in (p, q)]
+    rest = [i for i in range(form.size) if i not in (p, q)]
     M = form.entries
     D = M[np.ix_(rest, rest)]
-    a = M[p, rest]
-    b = M[q, rest]
-    A = M[p, p]
-    dl = M[q, q]
-    scale = max(1.0, _norm(np.nan_to_num(M)))
-
-    if rest:
-        wD = np.linalg.eigvalsh(D)
-        # no completion is pd: by interlacing lambda_min(M(v)) <= lambda_min(D) for every v
-        if mode == "pd" and wD[0] <= tols.pd * max(1.0, _norm(D)):
-            return Interval()
-        if wD[0] < -tols.psd * scale:
-            return Interval()
-        Dp = pinv_cutoff(D)
-        # Albert range conditions for the psd case
-        ra = np.linalg.norm(a - D @ (Dp @ a))
-        rb = np.linalg.norm(b - D @ (Dp @ b))
-        if ra > 1e-7 * scale or rb > 1e-7 * scale:
-            return Interval()
-        s1 = A - a @ Dp @ a
-        s2 = dl - b @ Dp @ b
-        c0 = a @ Dp @ b
-    else:
-        s1, s2, c0 = A, dl, 0.0
-
-    eps = tols.psd * scale
-    if s1 < -eps or s2 < -eps:
-        return Interval()
-    s1 = max(s1, 0.0)
-    s2 = max(s2, 0.0)
-    r = math.sqrt(s1 * s2)
-    lo, hi = c0 - r, c0 + r
-    if mode == "pd":
-        if s1 <= eps or s2 <= eps:
-            return Interval()
-        return Interval(lo, hi, closed=False, empty=False)
-    return Interval(lo, hi, closed=True, empty=False)
-
-
-def _as_matrix(M):
-    if isinstance(M, SymmetricForm):
-        return M.known()
-    return np.asarray(M, dtype=float)
+    w = np.linalg.eigvalsh(D)
+    return Completion(D, M[p, rest], M[q, rest], (M[p, p], M[q, q]),
+                      max(1.0, _norm(np.nan_to_num(M))), w[0] if w.size else math.inf,
+                      tol or DEFAULT_TOL)

@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg, moment
 from .bases import basis_Vk, combined_lift
 from .curves import CurveCase, parametrization, sample_arrays, sample_points
-from .moment import Decision, HankelData, MomentSequence, decide
+from .moment import Decision, MomentSequence, decide
 from .poly import BivarPoly, RationalElem, UnsupportedCase, product_on_curve
 
 _M = BivarPoly.monomial
@@ -71,10 +71,7 @@ def solve_hankel_R(h, tol=None):
     with strictly positive weights.
     """
     tols = tol or linalg.DEFAULT_TOL
-    if isinstance(h, HankelData):
-        m = np.asarray(h.moments, dtype=float)
-    else:
-        m = np.asarray(h, dtype=float)
+    m = np.asarray(h, dtype=float)
     if len(m) % 2 == 0:
         raise ValueError("need moments m_0..m_2n")
     # rescale t -> t/s to balance the moment magnitudes
@@ -83,7 +80,7 @@ def solve_hankel_R(h, tol=None):
         s = (abs(m[-1]) / abs(m[0])) ** (1.0 / (len(m) - 1))
         s = min(max(s, 1e-3), 1e3)
     m = m / np.power(s, np.arange(len(m)))
-    H = HankelData(tuple(m)).matrix()
+    H = moment._hankel(m)
     n1 = H.shape[0]
     scale = max(1.0, float(np.max(np.abs(H))))
     if linalg.psd_margin(H) < -1e-8:
@@ -222,10 +219,9 @@ def extract(L: MomentSequence, opts: ExtractOptions | None = None,
     dec = decision or decide(L)
     if not dec.passed():
         raise ExtractionFailed(f"decision was {dec.verdict}; nothing to extract")
-
-    o_weight = dec.o_weight if case.record.route == "isolated" else 0.0
-    Lwork = L.perturbed({(0, 0): -o_weight}) if o_weight else L
-    return _extract_from_lift(L, moment._Lift(Lwork), o_weight, opts)
+    if dec.lift is None:
+        raise ExtractionFailed("the decision carries no lifted matrix")
+    return _extract_from_lift(L, dec.lift, dec.o_weight, opts)
 
 
 def _extract_from_lift(L: MomentSequence, work, o_weight=0.0,
@@ -239,12 +235,13 @@ def _extract_from_lift(L: MomentSequence, work, o_weight=0.0,
     """
     opts = opts or ExtractOptions()
     case, k = L.case, L.k
-    if work.psd.empty:
+    comp = work.completion
+    if comp.psd.empty:
         raise ExtractionFailed("no psd completion of the lifted matrix")
     lift = combined_lift(case, k)
     excluded = parametrization(case).components[0].excluded_t
     errors = []
-    for v in _completion_candidates(work.pd, work.psd, opts):
+    for v in _completion_candidates(comp.pd, comp.psd, opts):
         try:
             m = moment.hankel_from_lift(case, k, work.form, v)
             pairs = solve_hankel_R(m)

@@ -97,6 +97,9 @@ class Decision:
     refutation: Refutation | None = None  # the payload of witness()
     o_weight: float = 0.0
     singular_branch: str = ""
+    # the payload of extract(), as refutation is witness()'s: on a passing
+    # constructive verdict, the lift of L - o_weight * delta_0
+    lift: _Lift | None = field(default=None, repr=False, compare=False)
 
     @property
     def witness_available(self):
@@ -275,7 +278,7 @@ def check_ideal_vanishing(L: MomentSequence) -> float:
 def moment_matrix(L: MomentSequence) -> SymmetricForm:
     """Matrix of L(u*v) over basis_Bk; fully determined for every case."""
     resid = check_ideal_vanishing(L)
-    if resid > 1e-6 * L.scale():
+    if resid > _IDEAL_TOL * L.scale():
         raise IdealViolation(f"ideal residual {resid:.3g}")
     return _form(L.case, L.k, "Bk").matrix(L)
 
@@ -323,17 +326,10 @@ def hankel_from_lift(case: CurveCase, k: int, PM: SymmetricForm, value: float):
     return np.bincount(anti, H.ravel()) / cnt
 
 
-@dataclass(frozen=True)
-class HankelData:
-    moments: tuple
-
-    def __post_init__(self):
-        if len(self.moments) % 2 == 0:
-            raise ValueError("Hankel data needs an odd number of moments m_0..m_2n")
-
-    def matrix(self):
-        n = (len(self.moments) + 1) // 2
-        return np.array([[self.moments[i + j] for j in range(n)] for i in range(n)])
+def _hankel(m):
+    """The Hankel matrix [m_(i+j)] of the moments m_0..m_2n."""
+    n = (len(m) + 1) // 2
+    return np.asarray(m, dtype=float)[np.add.outer(np.arange(n), np.arange(n))]
 
 
 def generating_polynomial(H) -> UnivarPoly:
@@ -355,25 +351,24 @@ def generating_polynomial(H) -> UnivarPoly:
 
 
 class _Lift:
-    """The lifted matrix of one functional L, assembled once, and its pd and
-    psd completion intervals, each computed on first use.
+    """The lifted matrix of one functional L, assembled once, and the one
+    decomposition of its block D that avoids the unknown pair, taken on first
+    use: the pd and psd completion intervals and P5's Schur data read it.
 
     The singular branches, the root check, the constructive fallback and
-    extraction all read this record; a point-mass shift of P5 is another
-    functional with its own record.
+    extraction all read this record (a passing Decision carries it to
+    extract); a point-mass shift of P5 is another functional with its own
+    record.
     """
 
-    def __init__(self, L: MomentSequence):
+    def __init__(self, L: MomentSequence, tol: Tolerances = linalg.DEFAULT_TOL):
         self.L = L
+        self.tol = tol
         self.form = lift_matrix(L)
 
     @cached_property
-    def pd(self) -> Interval:
-        return linalg.completion_interval(self.form, mode="pd")
-
-    @cached_property
-    def psd(self) -> Interval:
-        return linalg.completion_interval(self.form, mode="psd")
+    def completion(self) -> linalg.Completion:
+        return linalg.completion_interval(self.form, self.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +412,11 @@ def decide(L: MomentSequence, opts: DecideOptions | None = None) -> Decision:
         return _refuted(checks, vk, MV)
 
     # the lift of a constructive case: every branch below reads this one assembly
-    lift = _Lift(L) if case.is_constructive() else None
+    lift = _Lift(L, tol) if case.is_constructive() else None
     if mb_pd and mv_pd:
-        dec = Decision("MomentFunctional", checks)
+        dec = Decision("MomentFunctional", checks, lift=lift)
         if lift is not None:
-            ivl = lift.pd
+            ivl = lift.completion.pd
             checks.append(Check("completion_interval", "interval",
                                 not ivl.empty, ivl.width if not ivl.empty else -1.0))
             dec.completion_interval = ivl
@@ -471,9 +466,10 @@ def _constructive_fallback(lift, checks, o_weight=0.0, work=None):
                         -resid))
     if resid >= 1e-6:
         return None
-    return Decision("MomentFunctional", checks, completion_interval=lift.psd,
+    return Decision("MomentFunctional", checks, completion_interval=lift.completion.psd,
                     note="borderline margins certified by an explicitly recovered measure",
-                    o_weight=o_weight, singular_branch="constructive_witness")
+                    o_weight=o_weight, singular_branch="constructive_witness",
+                    lift=work or lift)
 
 
 def _refuted(checks, form: Form, M: SymmetricForm, rows=slice(None)):
@@ -559,8 +555,8 @@ def _decide_lift_singular(lift, checks, tol):
         checks.append(Check(name, "root-avoidance", ok_root, margin))
         passed = passed and ok_root
     if passed:
-        return Decision("MomentFunctional", checks, completion_interval=lift.psd,
-                        singular_branch=branch)
+        return Decision("MomentFunctional", checks, completion_interval=lift.completion.psd,
+                        singular_branch=branch, lift=lift)
     return Decision("Inconclusive", checks,
                     note="psd but the singular rank conditions fail; by the case theorem "
                          "this indicates no representing measure (reported conservatively)")
@@ -569,11 +565,11 @@ def _decide_lift_singular(lift, checks, tol):
 def _root_avoidance(lift, rd):
     """Whether the generating polynomial of a psd completion keeps its real
     roots away from +-rd, and the distance."""
-    ivl = lift.psd
+    ivl = lift.completion.psd
     if ivl.empty:
         return False, -1.0
     L = lift.L
-    H = HankelData(tuple(hankel_from_lift(L.case, L.k, lift.form, ivl.midpoint()))).matrix()
+    H = _hankel(hankel_from_lift(L.case, L.k, lift.form, ivl.midpoint()))
     try:
         g = generating_polynomial(H)
     except ValueError:
@@ -590,23 +586,10 @@ def _root_avoidance(lift, rd):
 # -- isolated-point case -----------------------------------------------------
 
 
-def _p5_schur_data(PM):
-    M = PM.entries
-    rest = list(range(2, PM.size))
-    Bblk = M[np.ix_(rest, rest)]
-    a = M[0, rest]
-    b = M[1, rest]
-    Bp = linalg.pinv_cutoff(Bblk)
-    sigma1 = float(M[0, 0] - a @ Bp @ a)
-    sigma2 = float(M[1, 1] - b @ Bp @ b)
-    range_b = float(np.linalg.norm(Bblk @ (Bp @ b) - b))
-    return Bblk, sigma1, sigma2, range_b
-
-
 def _p5_shift(lift, lam):
     """The lift of L - lam * (evaluation at the isolated point (0,0)); at lam = 0
     that functional is L, whose lift is ``lift`` itself."""
-    return _Lift(lift.L.perturbed({(0, 0): -lam})) if lam else lift
+    return _Lift(lift.L.perturbed({(0, 0): -lam}), lift.tol) if lam else lift
 
 
 def _p5_no_origin_singular(lift, checks, tol, tag=""):
@@ -621,13 +604,17 @@ def _decide_p5(L, MB, mb, checks, tol):
 
     The localizing form over the tilde space is NOT a necessary condition
     here: a point mass at the origin may push it indefinite.  Necessary
-    are the moment matrix, the common Schur block B, and b in range(B).
+    are the moment matrix, the common Schur block B, and b in range(B).  The
+    unknown pair of the lift is its first two rows, so B is the block D of
+    the lift's completion, whose Schur data give sigma1, sigma2 and the
+    range residual of b.  The admissible point masses form [-sigma2, sigma1].
     """
     case = L.case
-    lift = _Lift(L)
-    Bblk, sigma1, sigma2, range_b = _p5_schur_data(lift.form)
+    lift = _Lift(L, tol)
+    comp = lift.completion
+    sigma1, sigma2, _, _, range_b = map(float, comp.schur)
     scale = L.scale()
-    bpsd = linalg.psd_margin(Bblk)
+    bpsd = comp.margin
     checks.append(Check("schur_block_psd", "psd", bpsd >= -tol.psd, bpsd))
     checks.append(Check("b_in_range", "range", range_b <= 1e-6 * scale, -range_b / scale))
 
@@ -636,7 +623,7 @@ def _decide_p5(L, MB, mb, checks, tol):
     if bpsd < -tol.psd:
         # the Schur block over the tilde elements; the lift multiplier is 1
         return _refuted(checks, _form(case, L.k, "lift"),
-                        SymmetricForm(list(lift.form.labels[2:]), Bblk), slice(2, None))
+                        SymmetricForm(list(lift.form.labels[2:]), comp.D), slice(2, None))
     if range_b > 1e-6 * scale:
         return Decision("Inconclusive", checks,
                         note="b outside the range of the Schur block")
@@ -646,20 +633,23 @@ def _decide_p5(L, MB, mb, checks, tol):
                             sigma2 / scale))
         if sigma2 > -tol.psd * scale:
             return Decision("MomentFunctionalOnNonIsolated", checks,
-                            completion_interval=lift.psd, singular_branch="nonsingular")
+                            completion_interval=comp.psd, singular_branch="nonsingular",
+                            lift=lift)
         checks.append(Check("sigma1_exceeds_minus_sigma2", "pd",
                             sigma1 > -sigma2 - tol.psd * scale, (sigma1 + sigma2) / scale))
         if sigma1 > -sigma2 - tol.psd * scale:
-            return Decision("MomentFunctional", checks, o_weight=max(0.5 * (sigma1 + sigma2), 0.0),
-                            singular_branch="origin_split")
+            # the midpoint of the admissible masses [-sigma2, sigma1]
+            w = max(0.5 * (sigma1 - sigma2), 0.0)
+            return Decision("MomentFunctional", checks, o_weight=w,
+                            singular_branch="origin_split", lift=_p5_shift(lift, w))
         lam0 = sigma1
         checks.append(Check("lambda0_nonneg", "pd", lam0 >= -tol.psd * scale, lam0 / scale))
         if lam0 >= -tol.psd * scale:
-            ok, br = _p5_no_origin_singular(
-                _p5_shift(lift, max(lam0, 0.0)), checks, tol, tag="_lambda0")
+            shifted = _p5_shift(lift, max(lam0, 0.0))
+            ok, br = _p5_no_origin_singular(shifted, checks, tol, tag="_lambda0")
             if ok:
                 return Decision("MomentFunctional", checks, o_weight=max(lam0, 0.0),
-                                singular_branch=f"lambda0:{br}")
+                                singular_branch=f"lambda0:{br}", lift=shifted)
         # all three branches failed: refuted when they did so with clear margins
         if sigma1 < -tol.psd * scale or sigma1 + sigma2 < -1e-6 * scale:
             return Decision("NotMomentFunctional", checks,
@@ -670,7 +660,8 @@ def _decide_p5(L, MB, mb, checks, tol):
     # then the lambda0 point-mass branch of the singular theorem
     ok0, br0 = _p5_no_origin_singular(lift, checks, tol, tag="")
     if ok0:
-        return Decision("MomentFunctional", checks, singular_branch=f"no_origin:{br0}")
+        return Decision("MomentFunctional", checks, singular_branch=f"no_origin:{br0}",
+                        lift=lift)
     dec = _constructive_fallback(lift, checks)
     if dec is not None:
         return dec
@@ -683,7 +674,8 @@ def _decide_p5(L, MB, mb, checks, tol):
     shifted = _p5_shift(lift, lam)
     ok, br = _p5_no_origin_singular(shifted, checks, tol, tag="_lambda0")
     if ok:
-        return Decision("MomentFunctional", checks, o_weight=lam, singular_branch=f"lambda0:{br}")
+        return Decision("MomentFunctional", checks, o_weight=lam, singular_branch=f"lambda0:{br}",
+                        lift=shifted)
     dec = _constructive_fallback(lift, checks, o_weight=lam, work=shifted)
     if dec is not None:
         return dec
@@ -798,16 +790,14 @@ def _decide_elliptic_singular(L, MB, MV, checks, tol):
         # gen = x * p_lgen is polynomial (x clears the y/x element)
         gen = BivarPoly.zero()
         for c, e in zip(vec, v_els):
-            cleared = product_on_curve(
-                e.rat, poly_one_rational(), rational_of(BivarPoly.x()), case, k + 1)
+            cleared = product_on_curve(e.rat, BivarPoly.const(1.0), BivarPoly.x(), case, k + 1)
             gen = gen + float(c) * cleared
         gen = normal_low(gen, case)
         branch = "locally_singular"
         # consistency relation from the rational tilde-element: L(y * p_lgen) = 0,
         # realized as L((y/x) * gen) with a polynomial representative.
-        yrel = product_on_curve(
-            rational_of(gen), poly_one_rational(),
-            _yx_rational(), case, k + 1)
+        yrel = product_on_curve(gen, BivarPoly.const(1.0),
+                                RationalElem(BivarPoly.y(), BivarPoly.x()), case, k + 1)
         if yrel is not None:
             extra_residuals.append(abs(L.value(yrel)))
 
@@ -862,15 +852,3 @@ def _decide_elliptic_singular(L, MB, MV, checks, tol):
     dec = Decision("NotMomentFunctional", checks)
     dec.note = "the unique extension fails positivity"
     return dec
-
-
-def poly_one_rational():
-    return RationalElem(BivarPoly.const(1.0), BivarPoly.const(1.0))
-
-
-def rational_of(p: BivarPoly):
-    return RationalElem(p, BivarPoly.const(1.0))
-
-
-def _yx_rational():
-    return RationalElem(BivarPoly.y(), BivarPoly.x())

@@ -63,11 +63,6 @@ class BivarPoly:
     def y(power=1):
         return BivarPoly({(0, power): 1.0})
 
-    def copy(self):
-        p = BivarPoly()
-        p.coeffs = dict(self.coeffs)
-        return p
-
     def is_zero(self, tol=0.0):
         if tol == 0.0:
             return not self.coeffs
@@ -110,9 +105,6 @@ class BivarPoly:
         if isinstance(other, (int, float)):
             other = BivarPoly.const(other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):

@@ -9,7 +9,7 @@ from conftest import CASE_PARAMS, P6_VARIANTS
 from tmp3 import linalg, make_case
 from tmp3.bases import basis_Bk, basis_Rk1, basis_Vk, combined_lift
 from tmp3.curves import chi_flags, multiplier, parametrization, sample_points
-from tmp3.linalg import Partition, completion_interval, pinv_cutoff, schur
+from tmp3.linalg import SymmetricForm, completion_interval
 from tmp3.measure import (
     Atom,
     AtomicMeasure,
@@ -160,11 +160,12 @@ def test_criterion_6_completion():
         e0 = lift.elements[lift.unknown[0]]
         e1 = lift.elements[lift.unknown[1]]
         v_true = sum(a.w * e0.eval(a.x, a.y) * e1.eval(a.x, a.y) for a in mu.atoms)
-        ivl = completion_interval(lift_matrix(L), mode="psd")
+        ivl = completion_interval(lift_matrix(L)).psd
         assert not ivl.empty, cid
-        assert ivl.contains(v_true, slack=1e-7 * (1 + abs(v_true))), (cid, v_true, ivl)
+        slack = 1e-7 * (1 + abs(v_true))
+        assert ivl.lo - slack <= v_true <= ivl.hi + slack, (cid, v_true, ivl)
         dec0 = decide(L)
-        for v in ivl.interior_points(5):
+        for v in [ivl.lo + ivl.width * (i + 1) / 6 for i in range(5)]:
             rec = extract(L, ExtractOptions(completion="value", completion_value=v),
                           decision=dec0)
             assert verify(rec, L) < 1e-6
@@ -284,7 +285,11 @@ def test_criterion_8_invariants():
                 assert len(vb) == (3 * k - 1 if vb.partial else 3 * k)
                 assert vb.partial == (cid in ("P10", "P11"))
 
-    # Albert criterion on 100 random symmetric matrices
+    # Albert criterion on 100 random symmetric matrices, read from the shared
+    # decomposition: the pair (0, 1) on top, D = rows 2..5 below
+    def is_psd(M, tol):
+        return np.linalg.eigvalsh(M)[0] >= -tol * max(1.0, np.abs(M).max())
+
     rng = np.random.default_rng(88)
     for trial in range(100):
         n = 6
@@ -294,14 +299,13 @@ def test_criterion_8_invariants():
         else:
             Mx = rng.standard_normal((n, n))
             Mx = 0.5 * (Mx + Mx.T)
-        top, bot = (0, 1, 2), (3, 4, 5)
-        D = Mx[np.ix_(bot, bot)]
-        B = Mx[np.ix_(top, bot)]
-        range_ok = np.linalg.norm(B - B @ pinv_cutoff(D) @ D) <= 1e-8 * max(
-            1.0, np.abs(Mx).max())
-        crit = (linalg.is_psd(D, 1e-9) and range_ok
-                and linalg.is_psd(schur(Mx, Partition(top, bot)), 1e-7))
-        assert crit == linalg.is_psd(Mx, 1e-9)
+        comp = completion_interval(SymmetricForm(list("abcdef"), Mx.copy(), unknown=(0, 1)))
+        s1, s2, c0, ra, rb = comp.schur
+        range_ok = max(ra, rb) <= 1e-8 * max(1.0, np.abs(Mx).max())
+        d = Mx[0, 1] - c0
+        crit = (is_psd(comp.D, 1e-9) and range_ok
+                and is_psd(np.array([[s1, d], [d, s2]]), 1e-7))
+        assert crit == is_psd(Mx, 1e-9)
 
     # chi-flag sign consistency on 200 samples
     for cid in ("P15", "P19", "P24"):

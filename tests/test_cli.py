@@ -107,11 +107,28 @@ class TestSolve:
         from tmp3.linalg import completion_interval
         from tmp3.moment import lift_matrix
 
-        ivl = completion_interval(lift_matrix(L), mode="pd")
+        ivl = completion_interval(lift_matrix(L)).pd
         v = ivl.midpoint()
         code, out = _run(capsys, "solve", "--input", str(path), "--extract",
                          "--completion", f"value={v}")
         assert code == 0 and json.loads(out)["residual"] < 1e-6
+
+    def test_negative_moment_exponent_exit3(self, tmp_path, capsys):
+        path, _, _ = _write_problem(tmp_path)
+        data = json.loads(path.read_text())
+        data["moments"].append({"i": -1, "j": 0, "v": 1.0})
+        path.write_text(json.dumps(data))
+        code, out = _run(capsys, "solve", "--input", str(path))
+        assert code == 3
+        assert "negative exponent" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_completion_value_exit3(self, tmp_path, capsys, value):
+        path, _, _ = _write_problem(tmp_path)
+        code, out = _run(capsys, "solve", "--input", str(path), "--extract",
+                         "--completion", f"value={value}")
+        assert code == 3
+        assert "non-finite" in json.loads(out)["error"]
 
     def test_env_tolerance_override(self, tmp_path, capsys, monkeypatch):
         path, _, _ = _write_problem(tmp_path)
@@ -181,6 +198,21 @@ class TestOtherCommands:
                          "--case", "P4")
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    def test_certify_negative_exponent_exit3(self, tmp_path, capsys):
+        cf = tmp_path / "cert.json"
+        cf.write_text(json.dumps({"form": "v1", "k": 2, "gram0": np.eye(6).tolist()}))
+        pf = tmp_path / "poly.json"
+        pf.write_text(json.dumps([{"i": -1, "j": 0, "v": 1.0}]))
+        code, out = _run(capsys, "certify", "--poly", str(pf), "--cert", str(cf),
+                         "--case", "P4")
+        assert code == 3
+        assert "negative exponent" in json.loads(out)["error"]
+
+    def test_generate_negative_atoms_exit3(self, capsys):
+        code, out = _run(capsys, "generate", "--case", "P4", "--atoms", "-3", "--k", "2")
+        assert code == 3
+        assert "--atoms" in json.loads(out)["error"]
 
     @pytest.mark.parametrize("case,params", [("P2", "c=nan"), ("P14", "a=inf")])
     def test_generate_non_finite_params_exit3(self, capsys, case, params):

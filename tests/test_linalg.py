@@ -6,37 +6,46 @@ import pytest
 from tmp3.linalg import (
     DEFAULT_TOL,
     Interval,
-    MultipleUnknowns,
-    Partition,
     SymmetricForm,
     completion_interval,
-    is_pd,
-    is_psd,
     kernel_basis,
     numeric_rank,
-    pinv_cutoff,
-    restrict,
-    schur,
+    psd_margin,
 )
+
+
+def is_psd(M, tol=DEFAULT_TOL.psd):
+    """lambda_min(M) >= -tol * max(1, |M|)."""
+    return bool(np.linalg.eigvalsh(M)[0] >= -tol * max(1.0, np.abs(M).max()))
+
+
+def is_pd(M, tol=DEFAULT_TOL.pd):
+    """lambda_min(M) >= tol * |M|."""
+    return bool(np.linalg.eigvalsh(M)[0] >= tol * np.abs(M).max())
+
+
+def inside(ivl, n):
+    """n evenly spaced points strictly inside a nonempty interval."""
+    return [ivl.lo + ivl.width * (i + 1) / (n + 1) for i in range(n)]
 
 
 class TestPsdPd:
     def test_identity_pd(self):
-        assert is_pd(np.eye(2)) and is_psd(np.eye(2))
+        assert psd_margin(np.eye(2)) >= DEFAULT_TOL.pd
 
     def test_rank_one_psd_not_pd(self):
-        M = np.ones((2, 2))
-        assert is_psd(M) and not is_pd(M)
+        m = psd_margin(np.ones((2, 2)))
+        assert -DEFAULT_TOL.psd <= m < DEFAULT_TOL.pd
 
     def test_indefinite(self):
-        assert not is_psd(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert psd_margin(np.array([[0.0, 1.0], [1.0, 0.0]])) < -DEFAULT_TOL.psd
 
     def test_pd_implies_psd_random(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
             A = rng.standard_normal((5, 5))
             M = A @ A.T + 1e-3 * np.eye(5)
-            assert is_pd(M) and is_psd(M)
+            assert psd_margin(M) > 0.0 and is_pd(M) and is_psd(M)
 
 
 class TestRankKernel:
@@ -68,24 +77,30 @@ class TestRankKernel:
 
     def test_restrict(self):
         f = SymmetricForm(["a", "b", "c"], np.eye(3))
-        sub = restrict(f, [0])
+        sub = f.restrict([0])
         assert sub.labels == ["a"] and sub.entries.shape == (1, 1)
 
 
 class TestSchur:
+    """The Schur data of the shared decomposition: the unknown pair on top, D below."""
+
     def test_simple(self):
-        M = np.array([[2.0, 1.0], [1.0, 1.0]])
-        s = schur(M, Partition((0,), (1,)))
-        assert np.allclose(s, [[1.0]])
+        M = np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 2.0], [1.0, 2.0, 2.0]])
+        comp = completion_interval(SymmetricForm(list("abc"), M, unknown=(0, 1)))
+        s1, s2, c0, ra, rb = comp.schur
+        assert np.allclose([s1, s2, c0], [1.5, 1.0, 1.0]) and ra < 1e-12 and rb < 1e-12
+        assert comp.margin == pytest.approx(1.0)
 
     def test_block_diagonal(self):
         A = np.diag([2.0, 3.0])
         M = np.block([[A, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]])
-        s = schur(M, Partition((0, 1), (2, 3)))
-        assert np.allclose(s, A)
+        comp = completion_interval(SymmetricForm(list("abcd"), M, unknown=(0, 1)))
+        assert np.allclose(comp.schur[:3], [2.0, 3.0, 0.0])
+        assert np.allclose([comp.psd.lo, comp.psd.hi], [-math.sqrt(6.0), math.sqrt(6.0)])
 
     def test_albert_criterion(self):
-        """M psd iff D psd, range(B^T) in range(D), and M/D psd."""
+        """M psd iff D psd, the pair's rows a, b lie in range(D), and the 2 x 2
+        Schur complement [[s1, v - c0], [v - c0, s2]] is psd, v = M[0, 1]."""
         rng = np.random.default_rng(3)
         agree = 0
         for trial in range(100):
@@ -96,13 +111,12 @@ class TestSchur:
             else:
                 M = rng.standard_normal((n, n))
                 M = 0.5 * (M + M.T)
-            top, bot = (0, 1), (2, 3, 4)
-            D = M[np.ix_(bot, bot)]
-            B = M[np.ix_(top, bot)]
-            rng_cond = np.linalg.norm(B - B @ pinv_cutoff(D) @ D) <= 1e-8 * max(
-                1.0, np.abs(M).max()
-            )
-            crit = is_psd(D, 1e-9) and rng_cond and is_psd(schur(M, Partition(top, bot)), 1e-7)
+            comp = completion_interval(SymmetricForm(list("abcde"), M.copy(), unknown=(0, 1)))
+            s1, s2, c0, ra, rb = comp.schur
+            rng_cond = max(ra, rb) <= 1e-8 * max(1.0, np.abs(M).max())
+            d = M[0, 1] - c0
+            crit = (is_psd(comp.D, 1e-9) and rng_cond
+                    and is_psd(np.array([[s1, d], [d, s2]]), 1e-7))
             assert crit == is_psd(M, 1e-9)
             agree += 1
         assert agree == 100
@@ -111,13 +125,13 @@ class TestSchur:
 class TestCompletionInterval:
     def test_pd_open(self):
         f = SymmetricForm(["a", "b"], np.array([[1.0, 0.0], [0.0, 1.0]]), unknown=(0, 1))
-        ivl = completion_interval(f, "pd")
+        ivl = completion_interval(f).pd
         assert ivl.lo == pytest.approx(-1.0) and ivl.hi == pytest.approx(1.0)
         assert not ivl.closed
 
     def test_psd_closed(self):
         f = SymmetricForm(["a", "b"], np.array([[1.0, 0.0], [0.0, 4.0]]), unknown=(0, 1))
-        ivl = completion_interval(f, "psd")
+        ivl = completion_interval(f).psd
         assert ivl.lo == pytest.approx(-2.0) and ivl.hi == pytest.approx(2.0)
         assert ivl.closed
 
@@ -127,12 +141,12 @@ class TestCompletionInterval:
             A = rng.standard_normal((4, 5))
             M = A @ A.T + 0.1 * np.eye(4)
             f = SymmetricForm(list("abcd"), M, unknown=(0, 1))
-            psd = completion_interval(f, "psd")
-            pd = completion_interval(f, "pd")
+            comp = completion_interval(f)
+            psd, pd = comp.psd, comp.pd
             if pd.empty:
                 continue
             assert psd.lo <= pd.lo + 1e-9 and pd.hi <= psd.hi + 1e-9
-            for v in pd.interior_points(3):
+            for v in inside(pd, 3):
                 assert is_pd(f.with_value(v).entries, 1e-12)
             for v in (psd.lo - 0.5, psd.hi + 0.5):
                 assert not is_psd(f.with_value(v).entries)
@@ -140,7 +154,7 @@ class TestCompletionInterval:
     def test_empty(self):
         M = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
         f = SymmetricForm(list("abc"), M, unknown=(0, 1))
-        assert completion_interval(f, "psd").empty
+        assert completion_interval(f).psd.empty
 
     def test_pd_empty_when_block_not_pd(self):
         """D avoids the unknown rows, so it is a principal submatrix of every
@@ -161,12 +175,13 @@ class TestCompletionInterval:
             assert np.linalg.eigvalsh(D)[0] <= tol.pd * max(1.0, np.abs(D).max())
             v01 = G[0, 1]
             f = SymmetricForm(list("abcdef"), G.copy(), unknown=(0, 1))
-            assert completion_interval(f, "pd").empty
+            comp = completion_interval(f)
+            assert comp.pd.empty
             scale = max(1.0, np.abs(np.nan_to_num(f.entries)).max())
             for v in np.linspace(-10.0 * scale, 10.0 * scale, 401):
                 assert np.linalg.eigvalsh(f.with_value(v).entries)[0] < tol.pd * scale
-            psd = completion_interval(f, "psd")
-            assert psd.closed and psd.contains(v01, slack=1e-9 * scale)
+            psd = comp.psd
+            assert psd.closed and psd.lo - 1e-9 * scale <= v01 <= psd.hi + 1e-9 * scale
             assert psd.width > 0.0
             for v in (psd.lo, psd.midpoint(), psd.hi):
                 assert is_psd(f.with_value(v).entries, 1e-8)
@@ -176,12 +191,12 @@ class TestCompletionInterval:
     def test_requires_unknown(self):
         f = SymmetricForm(["a"], np.eye(1))
         with pytest.raises(ValueError):
-            completion_interval(f, "psd")
+            completion_interval(f)
 
 
 def test_interval_helpers():
     ivl = Interval(1.0, 3.0, closed=True, empty=False)
-    assert ivl.midpoint() == 2.0
-    assert ivl.contains(2.5)
-    assert len(ivl.interior_points(5)) == 5
-    assert all(1.0 < v < 3.0 for v in ivl.interior_points(5))
+    assert ivl.midpoint() == 2.0 and ivl.width == 2.0
+    assert Interval().empty and Interval().width == 0.0
+    with pytest.raises(ValueError):
+        Interval().midpoint()

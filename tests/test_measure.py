@@ -8,7 +8,6 @@ from tmp3.measure import (
     AtomicMeasure,
     ExtractOptions,
     ExtractionFailed,
-    HankelData,
     NoMeasure,
     NoWitness,
     extract,
@@ -19,7 +18,8 @@ from tmp3.measure import (
     verify,
     witness,
 )
-from tmp3.moment import MomentSequence, decide
+from tmp3.curves import sample_points
+from tmp3.moment import MomentSequence, _form, decide
 from tmp3.poly import UnsupportedCase
 
 
@@ -220,6 +220,57 @@ class TestWitness:
         L, _ = generate(case, 2, n_atoms=6, seed=1)
         with pytest.raises(NoWitness):
             witness(L)
+
+
+def _vk_refuted():
+    """P3: a genuine 7-atom measure minus a 0.01 point mass; V^(k) holds y/x."""
+    case = make_case("P3")
+    mu = generate_measure(case, 8, 2, seed=0)
+    z = mu.atoms[7]
+    return case, mu.atoms[:7] + (Atom(z.x, z.y, -0.01),), "Vk"
+
+
+def _q0_refuted():
+    """P15: a genuine 7-atom measure plus a seeded signed measure of weight ~0.01."""
+    case = make_case("P15", CASE_PARAMS["P15"])
+    mu = generate_measure(case, 15, 2, seed=2)
+    signed = np.random.default_rng(2).standard_normal(8)
+    return case, mu.atoms[:7] + tuple(
+        Atom(a.x, a.y, 0.01 * c) for a, c in zip(mu.atoms[7:], signed)), "Q0"
+
+
+def _p5_schur_refuted():
+    """P5: two atoms, a mass of 1e6 at the isolated point and a 1e-6 point mass
+    subtracted elsewhere.  The moment matrix fails only by -6e-11 of its scale,
+    inside the psd tolerance, while the Schur block, which the origin mass
+    does not reach, fails by -1.8e-5 of its own."""
+    case = make_case("P5")
+    mu = generate_measure(case, 3, 2, seed=0)
+    z = mu.atoms[2]
+    return case, mu.atoms[:2] + (Atom(0.0, 0.0, 1e6), Atom(z.x, z.y, -1e-6)), "schur"
+
+
+@pytest.mark.parametrize("build", [_vk_refuted, _q0_refuted, _p5_schur_refuted])
+def test_refutation_witness(build):
+    """Refutations from the localizing form, a two-factor form and P5's Schur
+    block: each witness p has L(p) < 0 and p >= 0 on the curve, up to the
+    rounding of its terms."""
+    case, atoms, which = build()
+    k = 2
+    L = MomentSequence(case, k, AtomicMeasure(atoms).moments(k))
+    dec = decide(L)
+    assert dec.verdict == "NotMomentFunctional"
+    if which == "schur":
+        assert dec.refutation.elements == _form(case, k, "lift").elements[2:]
+    else:
+        assert dec.refutation.elements == _form(case, k, which).elements
+    if which == "Vk":  # the witness clears the denominator of y/x
+        assert any(e.rat.denominator.degree() > 0 for e in dec.refutation.elements)
+    p = witness(L, decision=dec)
+    assert L.value(p) < 0
+    for x, y, _ in sample_points(case, 200, seed=1):
+        terms = [c * x**i * y**j for (i, j), c in p.coeffs.items()]
+        assert sum(terms) >= -1e-8 * sum(map(abs, terms)), (x, y)
 
 
 class TestRoundTripSubset:

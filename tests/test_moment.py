@@ -5,7 +5,7 @@ from conftest import CASE_PARAMS, CONSTRUCTIVE, P6_VARIANTS
 from tmp3 import linalg, make_case, moment
 from tmp3.bases import basis_Bk, basis_Rk1, basis_Vk, combined_lift
 from tmp3.curves import chi_flags, sample_points
-from tmp3.measure import Atom, AtomicMeasure, extract, generate, generate_measure
+from tmp3.measure import Atom, AtomicMeasure, extract, generate, generate_measure, verify
 from tmp3.moment import (
     IdealViolation,
     MomentSequence,
@@ -144,7 +144,7 @@ class TestLocalizing:
         L = MomentSequence(case, 2, mu.moments(2))
         _, m2 = localizing_matrices_v2(L)
         assert linalg.numeric_rank(m2.known()) <= 1
-        assert linalg.is_psd(m2.known())
+        assert linalg.psd_margin(m2.known()) >= -linalg.DEFAULT_TOL.psd
 
     def test_p15_circle_only_measure(self):
         case = make_case("P15", dict(a=-3.0))
@@ -153,7 +153,7 @@ class TestLocalizing:
                                  for i, (x, y, _) in enumerate(pts)))
         L = MomentSequence(case, 2, mu.moments(2))
         m1, m2 = localizing_matrices_v2(L)
-        assert linalg.is_psd(m1.known(), 1e-9)
+        assert linalg.psd_margin(m1.known()) >= -1e-9
 
 
 class TestDecide:
@@ -187,9 +187,9 @@ class TestDecide:
         case = make_case("P12", CASE_PARAMS["P12"])
         L, _ = generate(case, 2, n_atoms=6, seed=5)
         dec = decide(L)
-        ivl = linalg.completion_interval(lift_matrix(L), mode="pd")
+        ivl = linalg.completion_interval(lift_matrix(L)).pd
         verdicts = {dec.verdict}
-        for v in ivl.interior_points(5):
+        for v in [ivl.lo + ivl.width * (i + 1) / 6 for i in range(5)]:
             mu = extract(L, ExtractOptions(completion="value", completion_value=v))
             assert verify(mu, L) < 1e-6
         assert verdicts == {"MomentFunctional"}
@@ -414,12 +414,12 @@ def test_hankel_from_lift_matches_reference(cid, params):
         for seed in range(k, k + 5):
             mu = generate_measure(case, 3 * k + 1, k, seed=seed)
             L = MomentSequence(case, k, mu.moments(k))
-            ivl = linalg.completion_interval(lift_matrix(L), mode="psd")
+            ivl = linalg.completion_interval(lift_matrix(L)).psd
             if not ivl.empty:
                 break
         assert not ivl.empty
         values = [ivl.midpoint(), ivl.lo, ivl.hi]
-        pd = linalg.completion_interval(lift_matrix(L), mode="pd")
+        pd = linalg.completion_interval(lift_matrix(L)).pd
         if not pd.empty:
             values.append(pd.midpoint())
         PM = lift_matrix(L)
@@ -439,31 +439,102 @@ LIFT_ROUTES = [
     ("P5", {}, 2, 6, 0, 0.0, "MomentFunctionalOnNonIsolated", "nonsingular"),
     ("P5", {}, 2, 6, 1, 0.0, "MomentFunctional", "constructive_witness"),
     ("P5", {}, 2, 1, 0, 0.5, "MomentFunctional", "lambda0:rank_B"),  # shifts L
+    ("P5", {}, 2, 5, 0, 0.5, "MomentFunctional", "origin_split"),  # shifts L
 ]
+
+
+def _block_d(PM):
+    """The block of a lifted matrix that avoids its unknown pair."""
+    rest = [i for i in range(PM.size) if i not in PM.unknown]
+    return PM.entries[np.ix_(rest, rest)]
 
 
 @pytest.mark.parametrize("cid,params,k,n,seed,w0,verdict,branch", LIFT_ROUTES)
 def test_lift_assembled_once_per_functional(monkeypatch, cid, params, k, n, seed, w0,
                                             verdict, branch):
-    """decide and extract each assemble the lifted matrix of a functional (L,
-    or a point-mass shift of it on P5) at most once."""
+    """decide followed by extract assembles the lifted matrix of each functional
+    (L, or a point-mass shift of it on P5) once, and decomposes each block D
+    once: one eigvalsh and at most one pseudo-inverse."""
     case = make_case(cid, params)
     mu = generate_measure(case, n, k, seed=seed)
     if w0:
         mu = AtomicMeasure(mu.atoms + (Atom(0.0, 0.0, w0),))
     L = MomentSequence(case, k, mu.moments(k))
-    assembled = []
-    real = moment.lift_matrix
+    assembled, forms, eigs, pinvs = [], [], [], []
+    real_lift, real_eig, real_pinv = moment.lift_matrix, np.linalg.eigvalsh, linalg.pinv_cutoff
 
-    def counting(L):
+    def counting_lift(L):
         assembled.append(tuple(sorted(L.beta.items())))
-        return real(L)
+        forms.append(real_lift(L))
+        return forms[-1]
 
-    monkeypatch.setattr(moment, "lift_matrix", counting)
+    def counting_eig(M, *args, **kwargs):
+        eigs.append(np.array(M))
+        return real_eig(M, *args, **kwargs)
+
+    def counting_pinv(M, *args, **kwargs):
+        pinvs.append(np.array(M))
+        return real_pinv(M, *args, **kwargs)
+
+    monkeypatch.setattr(moment, "lift_matrix", counting_lift)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eig)
+    monkeypatch.setattr(linalg, "pinv_cutoff", counting_pinv)
     dec = decide(L)
     assert (dec.verdict, dec.singular_branch) == (verdict, branch)
-    assert assembled and len(set(assembled)) == len(assembled)
     if dec.passed():
-        assembled.clear()
         extract(L, decision=dec)
-        assert len(assembled) == 1
+        assert any(PM is dec.lift.form for PM in forms)
+    assert assembled and len(set(assembled)) == len(assembled)
+    # a P5 shift changes no entry of D, so records may share one D array: each
+    # record decomposes its D at most once
+    for PM in forms:
+        D = _block_d(PM)
+        same = sum(np.array_equal(_block_d(other), D) for other in forms)
+        n_eig = sum(M.shape == D.shape and np.array_equal(M, D) for M in eigs)
+        n_pinv = sum(M.shape == D.shape and np.array_equal(M, D) for M in pinvs)
+        assert n_eig <= same and n_pinv <= n_eig
+        if dec.passed() and PM is dec.lift.form:
+            assert n_eig >= 1
+
+
+def test_p5_origin_split_extracts():
+    """The point mass split off at the isolated point is the midpoint of the
+    admissible masses [-sigma2, sigma1], and the extraction after it reproduces
+    the moments (a genuine measure plus an atom at the origin)."""
+    case = make_case("P5")
+    split = 0
+    for k in (2, 3, 4):
+        for n in range(3 * k - 2, 3 * k + 2):
+            for seed in range(6):
+                for w0 in (0.25, 0.5, 1.0):
+                    mu = generate_measure(case, n, k, seed=seed)
+                    mu = AtomicMeasure(mu.atoms + (Atom(0.0, 0.0, w0),))
+                    L = MomentSequence(case, k, mu.moments(k))
+                    dec = decide(L)
+                    assert dec.passed(), (k, n, seed, w0, dec.verdict)
+                    if dec.singular_branch != "origin_split":
+                        continue
+                    split += 1
+                    assert dec.o_weight > 0.1 * w0, (k, n, seed, w0, dec.o_weight)
+                    assert dec.lift.L.beta[(0, 0)] == L.beta[(0, 0)] - dec.o_weight
+                    assert verify(extract(L, decision=dec), L) < 1e-6, (k, n, seed, w0)
+    assert split == 162
+
+
+def test_decide_tolerance_reaches_the_lift():
+    """DecideOptions(tol=...) moves the lift's completion intervals too: a P3
+    functional a 1e-9 point mass below a genuine measure has an empty psd
+    interval at the default tolerance and a nonempty one at tol.psd = 1e-6,
+    where the constructive fallback certifies it."""
+    case = make_case("P3")
+    mu = generate_measure(case, 3, 2, seed=0)
+    z = mu.atoms[2]
+    L = MomentSequence(case, 2, AtomicMeasure(mu.atoms[:2] + (Atom(z.x, z.y, -1e-9),)).moments(2))
+    loose = linalg.DEFAULT_TOL.replace(psd=1e-6)
+    assert linalg.completion_interval(lift_matrix(L)).psd.empty
+    assert not linalg.completion_interval(lift_matrix(L), loose).psd.empty
+    assert not decide(L).passed()
+    dec = decide(L, moment.DecideOptions(tol=loose))
+    assert (dec.verdict, dec.singular_branch) == ("MomentFunctional", "constructive_witness")
+    assert not dec.completion_interval.empty
+    assert verify(extract(L, decision=dec), L) < 1e-6

@@ -3,13 +3,13 @@
     PYTHONPATH=src python3 tools/outputs_digest.py > digest.jsonl
 
 Writes one JSON line per instance: for genuine and refuted data (the 31
-benchmark labels, k = 2..6, seeds 1 and 2) the verdict, note, branch, every
+benchmark labels, k = 2..6, seeds 1, 2 and 3) the verdict, note, branch, every
 check with its margin, the completion interval, the extracted atoms or the
 extraction error, the witness coefficients, and digests of the
 ``tmp3 solve --extract`` and ``tmp3 witness`` reports; for each certificate
 (k = 2..6, valid and shifted by +1) both residuals; for every label the
 digest of the ``tmp3 alpha`` report and, at k = 2..6, of the ``tmp3 info``
-report and of the ``tmp3 generate`` problem file (3k atoms, seeds 1 and 2),
+report and of the ``tmp3 generate`` problem file (3k atoms, seeds 1, 2 and 3),
 which together cover the case catalog's bases, multipliers and
 parametrizations and the atom placement on each curve. Floats are written with
 ``float.hex``, so two dumps are byte-equal exactly when the outputs are
@@ -35,7 +35,7 @@ from tmp3 import (BivarPoly, Certificate, MomentSequence, SymmetricForm, decide,
                   extract, make_case, verify_certificate, witness)
 from tmp3 import cli  # noqa: E402
 
-SEEDS = (1, 2)
+SEEDS = (1, 2, 3)
 
 
 def _hex(x):
