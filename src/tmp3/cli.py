@@ -8,6 +8,7 @@ rejected).  Exit codes: 0 moment functional, 1 refuted, 2 inconclusive,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -182,9 +183,23 @@ def _tolerances(args):
     )
 
 
+def _completion(text):
+    """ExtractOptions of a --completion flag: midpoint|left|right|value=V."""
+    mode, value = text, None
+    if mode.startswith("value="):
+        value = float(mode.split("=", 1)[1])
+        if not math.isfinite(value):
+            raise InputError(f"non-finite completion value {value!r}")
+        mode = "value"
+    elif mode not in ("midpoint", "left", "right"):
+        raise InputError(f"unknown completion mode {mode!r}")
+    return ExtractOptions(completion=mode, completion_value=value)
+
+
 def cmd_solve(args):
     L, _ = load_problem(args.input)
     tol = _tolerances(args)
+    extract_opts = _completion(args.completion)
     dec = moment.decide(L, DecideOptions(tol=tol))
     report = {
         "verdict": dec.verdict,
@@ -202,16 +217,8 @@ def cmd_solve(args):
             dec.completion_interval.lo, dec.completion_interval.hi
         ]
     if args.extract and dec.passed():
-        mode, value = args.completion, None
-        if mode.startswith("value="):
-            value = float(mode.split("=", 1)[1])
-            if not math.isfinite(value):
-                raise InputError(f"non-finite completion value {value!r}")
-            mode = "value"
         try:
-            mu = measure.extract(
-                L, ExtractOptions(completion=mode, completion_value=value), decision=dec
-            )
+            mu = measure.extract(L, extract_opts, decision=dec)
             report["measure"] = measure_to_json(mu)
             report["residual"] = measure.verify(mu, L)
         except (measure.ExtractionFailed, UnsupportedCase) as exc:
@@ -347,7 +354,9 @@ def cmd_info(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="tmp3",
         description="Truncated moment problems on the 29 canonical plane cubics",

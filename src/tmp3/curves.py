@@ -173,15 +173,19 @@ class CurveCase:
 
     def __post_init__(self):
         self.record.validate(self.params)
+        # every cache lookup hashes the key, so it is built once; the hash is
+        # not stored, since a pickled case would carry it to a process whose
+        # string hashes differ
+        object.__setattr__(self, "_key", (self.id, tuple(sorted(self.params.items()))))
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self._key)
 
     def __eq__(self, other):
-        return isinstance(other, CurveCase) and self.key() == other.key()
+        return self is other or (isinstance(other, CurveCase) and self._key == other._key)
 
     def key(self):
-        return (self.id, tuple(sorted(self.params.items())))
+        return self._key
 
     @property
     def record(self) -> CaseRecord:

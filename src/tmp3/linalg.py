@@ -166,6 +166,12 @@ class Completion:
     scale: float  # max(1, |M|) over the known entries
     lmin: float  # smallest eigenvalue of D (inf when D is empty)
     tol: Tolerances
+    same_d: Completion | None = None  # the decomposition of an equal D, read instead
+
+    @cached_property
+    def pinv(self):
+        """D^+ with cutoff 1e-10, shared with ``same_d``."""
+        return pinv_cutoff(self.D) if self.same_d is None else self.same_d.pinv
 
     @property
     def margin(self):
@@ -177,8 +183,7 @@ class Completion:
         """(s1, s2, c0, |a - D D^+ a|, |b - D D^+ b|): the generalized Schur
         complement of D, s1 = M[p, p] - a D^+ a, s2 = M[q, q] - b D^+ b and
         c0 = a D^+ b, with the range residuals of a and b."""
-        D, a, b = self.D, self.a, self.b
-        Dp = pinv_cutoff(D)
+        D, a, b, Dp = self.D, self.a, self.b, self.pinv
         return (self.corner[0] - a @ Dp @ a, self.corner[1] - b @ Dp @ b, a @ Dp @ b,
                 np.linalg.norm(a - D @ (Dp @ a)), np.linalg.norm(b - D @ (Dp @ b)))
 
@@ -206,16 +211,23 @@ class Completion:
         return Interval(c0 - r, c0 + r, closed=closed, empty=False)
 
 
-def completion_interval(form: SymmetricForm, tol=None) -> Completion:
+def completion_interval(form: SymmetricForm, tol=None, like=None) -> Completion:
     """The decomposition behind all values of the unknown pair of ``form`` that
-    make the matrix psd (``.psd``) or pd (``.pd``): one eigvalsh of D."""
+    make the matrix psd (``.psd``) or pd (``.pd``): one eigvalsh of D.
+
+    ``like`` is a Completion whose block D may equal this one's; when the two
+    arrays are equal, its smallest eigenvalue and pseudo-inverse are reused.
+    """
     if form.unknown is None:
         raise ValueError("form has no unknown entry")
     p, q = form.unknown
     rest = [i for i in range(form.size) if i not in (p, q)]
     M = form.entries
     D = M[np.ix_(rest, rest)]
-    w = np.linalg.eigvalsh(D)
+    if like is not None and np.array_equal(D, like.D):
+        lmin = like.lmin
+    else:
+        like, w = None, np.linalg.eigvalsh(D)
+        lmin = w[0] if w.size else math.inf
     return Completion(D, M[p, rest], M[q, rest], (M[p, p], M[q, q]),
-                      max(1.0, _norm(np.nan_to_num(M))), w[0] if w.size else math.inf,
-                      tol or DEFAULT_TOL)
+                      max(1.0, _norm(np.nan_to_num(M))), lmin, tol or DEFAULT_TOL, like)

@@ -358,17 +358,21 @@ class _Lift:
     The singular branches, the root check, the constructive fallback and
     extraction all read this record (a passing Decision carries it to
     extract); a point-mass shift of P5 is another functional with its own
-    record.
+    record, which reuses its parent's decomposition when the two blocks D are
+    equal.
     """
 
-    def __init__(self, L: MomentSequence, tol: Tolerances = linalg.DEFAULT_TOL):
+    def __init__(self, L: MomentSequence, tol: Tolerances = linalg.DEFAULT_TOL,
+                 parent: _Lift | None = None):
         self.L = L
         self.tol = tol
+        self.parent = parent
         self.form = lift_matrix(L)
 
     @cached_property
     def completion(self) -> linalg.Completion:
-        return linalg.completion_interval(self.form, self.tol)
+        like = None if self.parent is None else self.parent.completion
+        return linalg.completion_interval(self.form, self.tol, like)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +593,7 @@ def _root_avoidance(lift, rd):
 def _p5_shift(lift, lam):
     """The lift of L - lam * (evaluation at the isolated point (0,0)); at lam = 0
     that functional is L, whose lift is ``lift`` itself."""
-    return _Lift(lift.L.perturbed({(0, 0): -lam}), lift.tol) if lam else lift
+    return _Lift(lift.L.perturbed({(0, 0): -lam}), lift.tol, lift) if lam else lift
 
 
 def _p5_no_origin_singular(lift, checks, tol, tag=""):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -338,10 +339,29 @@ def reduce_on_curve(p: BivarPoly, case) -> BivarPoly:
 
 
 def normal_low(p: BivarPoly, case) -> BivarPoly:
-    """Degree-minimal normal form, used when expressing functions in moments."""
+    """Degree-minimal normal form, used when expressing functions in moments.
+
+    A single monomial with coefficient exactly 1 is answered from a per-case
+    table filled by the same rewrite, so repeated calls return one shared
+    object: no caller may change the ``coeffs`` of a result in place.
+    """
+    if len(p.coeffs) == 1:
+        (m, v), = p.coeffs.items()
+        if v == 1.0:
+            return _unit_normal_low(case, m)
+    return _rewrite_low(p, case)
+
+
+def _rewrite_low(p, case):
     head, rhs = case.low_rewrite_rule()
     q = rewrite(p, head, rhs)
     return q.chop(_COEFF_EPS * max(1.0, q.max_abs_coeff()))
+
+
+@lru_cache(maxsize=8192)
+def _unit_normal_low(case, m):
+    """normal_low of the monomial m = (i, j) with coefficient 1."""
+    return _rewrite_low(BivarPoly({m: 1.0}), case)
 
 
 def low_monomials(case, max_deg):
@@ -367,8 +387,8 @@ def product_on_curve(u, v, f, case, k):
     u = as_rational(u)
     v = as_rational(v)
     f = as_rational(f)
-    num = u.numerator * v.numerator * f.numerator
-    den = u.denominator * v.denominator * f.denominator
+    num = _product(u.numerator, v.numerator, f.numerator)
+    den = _product(u.denominator, v.denominator, f.denominator)
     den = normal_low(den, case)
     num = normal_low(num, case)
     if num.is_zero():
@@ -380,10 +400,23 @@ def product_on_curve(u, v, f, case, k):
     return _divide_on_curve(num, den, case, 2 * k)
 
 
+_ONE = {(0, 0): 1.0}
+
+
+def _product(*factors):
+    """The product taken left to right, skipping factors that are exactly the
+    constant 1: v * 1.0 == v and the terms keep their order, so no bit changes."""
+    out = None
+    for p in factors:
+        if p.coeffs != _ONE:
+            out = p if out is None else out * p
+    return BivarPoly.const(1.0) if out is None else out
+
+
 def _divide_on_curve(num, den, case, dmax):
     """Solve p*den = num modulo the curve ideal with deg p <= dmax."""
     mons = low_monomials(case, dmax)
-    cols = [normal_low(BivarPoly.monomial(i, j) * den, case) for (i, j) in mons]
+    cols = _division_columns(case, tuple(den.coeffs.items()), dmax)
     support = set(num.coeffs)
     for c in cols:
         support.update(c.coeffs)
@@ -403,6 +436,15 @@ def _divide_on_curve(num, den, case, dmax):
         return None
     p = BivarPoly({m: s for m, s in zip(mons, sol)})
     return p.chop(1e-11 * max(1.0, p.max_abs_coeff()))
+
+
+@lru_cache(maxsize=64)
+def _division_columns(case, den_terms, dmax):
+    """normal_low(x^i y^j * den) over low_monomials(case, dmax); den is given by
+    its terms in order, which fix the order of every column's terms."""
+    den = BivarPoly(dict(den_terms))
+    return tuple(normal_low(BivarPoly.monomial(i, j) * den, case)
+                 for (i, j) in low_monomials(case, dmax))
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,30 @@ class TestSolve:
         assert code == 3
         assert "non-finite" in json.loads(out)["error"]
 
+    def test_non_finite_completion_without_extract_exit3(self, tmp_path, capsys):
+        path, _, _ = _write_problem(tmp_path)
+        code, out = _run(capsys, "solve", "--input", str(path), "--completion", "value=nan")
+        assert code == 3
+        assert "non-finite" in json.loads(out)["error"]
+
+    def test_unknown_completion_mode_exit3(self, tmp_path, capsys):
+        path, _, _ = _write_problem(tmp_path)
+        code, out = _run(capsys, "solve", "--input", str(path), "--completion", "bogus")
+        assert code == 3
+        assert "unknown completion mode" in json.loads(out)["error"]
+
+    def test_no_flag_carries_over_between_runs(self, tmp_path, capsys):
+        """The process keeps one parser; a second run without --extract and
+        --out reports no measure, on stdout."""
+        path, _, _ = _write_problem(tmp_path)
+        first = tmp_path / "first.json"
+        code, out = _run(capsys, "solve", "--input", str(path), "--extract", "--out", str(first))
+        assert code == 0 and out == ""
+        assert json.loads(first.read_text())["measure"] is not None
+        code, out = _run(capsys, "solve", "--input", str(path))
+        assert code == 0
+        assert json.loads(out)["measure"] is None and "residual" not in json.loads(out)
+
     def test_env_tolerance_override(self, tmp_path, capsys, monkeypatch):
         path, _, _ = _write_problem(tmp_path)
         monkeypatch.setenv("TMP3_TOL_PSD", "1e-6")

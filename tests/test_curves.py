@@ -59,6 +59,22 @@ class TestMakeCase:
             with pytest.raises(InvalidParams, match="finite"):
                 make_case(cid, params)
 
+    def test_key_ignores_param_order(self):
+        """Cases built from reordered parameter dicts compare and hash equal, so
+        the second one reads the compiled forms cached for the first."""
+        from tmp3.moment import _form
+
+        a = make_case("P10", dict(a=1.0, c=0.5, d=-1.0, e=2.0))
+        b = make_case("P10", dict(e=2.0, d=-1.0, c=0.5, a=1.0))
+        assert list(a.params) != list(b.params)
+        assert a == b and hash(a) == hash(b) and a.key() == b.key()
+        assert a != make_case("P10", dict(a=1.0, c=0.5, d=-1.0, e=2.5))
+        assert a != make_case("P11", dict(a=1.0, c=0.5, d=-1.0, e=2.0))
+        form = _form(a, 3, "Bk")
+        hits = _form.cache_info().hits
+        assert _form(b, 3, "Bk") is form
+        assert _form.cache_info().hits == hits + 1
+
 
 class TestMultiplier:
     def test_p10_anchor(self):

@@ -193,3 +193,142 @@ def test_unknown_positions_match_partial_cases():
             e0 = lift.elements[lift.unknown[0]]
             e1 = lift.elements[lift.unknown[1]]
             assert product_on_curve(e0.rat, e1.rat, _one(), case, 2) is None
+
+
+# ---------------------------------------------------------------------------
+# Caches of the symbolic layer: every cached answer is the rewrite's own
+
+
+def _bench_cases():
+    """(label, case id, params) of bench/corpus.py, which is imported, not edited."""
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.CASES
+
+
+BENCH_CASES = _bench_cases()
+
+
+@pytest.mark.parametrize("label,cid,params", BENCH_CASES, ids=[c[0] for c in BENCH_CASES])
+def test_unit_monomial_table_matches_rewrite(label, cid, params):
+    """normal_low of x^i y^j (i + j <= 15) from the table equals the uncached
+    rewrite term by term, in order, and repeated calls share one object."""
+    from tmp3.poly import _rewrite_low
+
+    case = make_case(cid, params)
+    for d in range(16):
+        for i in range(d + 1):
+            mono = _M(i, d - i)
+            got = normal_low(mono, case)
+            assert list(got.coeffs.items()) == list(_rewrite_low(mono, case).coeffs.items())
+            assert normal_low(_M(i, d - i), make_case(cid, dict(params))) is got
+
+
+def _rational_products(case, k):
+    """product_on_curve over the pairs of each compiled form with a denominator."""
+    from tmp3.moment import _form
+
+    out = []
+    forms = ["Bk", "Vk"] + (["lift"] if case.is_constructive() else [])
+    for which in forms:
+        form = _form(case, k, which)
+        for u in form.elements:
+            for v in form.elements:
+                if u.rat.denominator.degree() > 0 or v.rat.denominator.degree() > 0:
+                    p = product_on_curve(u.rat, v.rat, form.f, case, k)
+                    out.append(None if p is None else list(p.coeffs.items()))
+    return out
+
+
+def test_division_columns_survive_cache_clear():
+    """_divide_on_curve gives the same terms, in the same order, with its
+    columns and the monomial table filled, cleared, and filled again."""
+    from tmp3 import poly
+
+    def clear():
+        poly._division_columns.cache_clear()
+        poly._unit_normal_low.cache_clear()
+
+    for cid in ("P1", "P3", "P7", "P8"):
+        case = make_case(cid, CASE_PARAMS[cid])
+        clear()
+        cold = _rational_products(case, 3)
+        assert poly._division_columns.cache_info().currsize > 0
+        warm = _rational_products(case, 3)
+        clear()
+        assert _rational_products(case, 3) == cold == warm
+        assert any(p is not None for p in cold)
+
+
+def test_product_skips_only_exact_ones():
+    """Factors that are exactly 1 change no bit of the product; 1 + 1e-16 does."""
+    from tmp3.poly import _product
+
+    p = _M(2, 1, 0.1) + _M(0, 3, -3.7) + _C(0.3)
+    q = _M(1, 1, 1.0 / 3.0) + _M(0, 1, 2.5)
+    one = _C(1.0)
+    full = p * one * q * one
+    assert list(_product(p, one, q, one).coeffs.items()) == list(full.coeffs.items())
+    assert list(_product(one, p, q).coeffs.items()) == list((one * p * q).coeffs.items())
+    assert list(_product(one, one).coeffs.items()) == [((0, 0), 1.0)]
+    near = _C(1.0 + 2.0 ** -52)
+    assert _product(p, near).coeffs != p.coeffs
+
+
+#: calls that change a dict in place
+_MUTATORS = {"pop", "popitem", "update", "clear", "setdefault", "__setitem__", "__delitem__"}
+
+
+def test_no_module_changes_coeffs_in_place():
+    """normal_low shares its table's objects, so no module in src/tmp3 stores
+    into, deletes from or calls a mutator on a ``.coeffs`` dict, and ``.coeffs``
+    is bound only on a polynomial the same function has just created."""
+    import ast
+    import pathlib
+
+    import tmp3
+
+    def is_coeffs(node):
+        return isinstance(node, ast.Attribute) and node.attr == "coeffs"
+
+    def own_nodes(scope):
+        """The nodes of scope outside the functions nested in it."""
+        todo = list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            yield node
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                todo.extend(ast.iter_child_nodes(node))
+
+    bad = []
+    for path in sorted(pathlib.Path(tmp3.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for scope in ast.walk(tree):
+            if not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                continue
+            nodes = list(own_nodes(scope))
+            fresh = {"self"} if getattr(scope, "name", "") == "__init__" else set()
+            for node in nodes:
+                if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                        and isinstance(node.targets[0], ast.Name)
+                        and isinstance(node.value, ast.Call)
+                        and getattr(node.value.func, "id", "") in ("BivarPoly", "UnivarPoly")
+                        and not node.value.args):
+                    fresh.add(node.targets[0].id)
+            for node in nodes:
+                where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+                if isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(
+                        node.ctx, (ast.Store, ast.Del)):
+                    if isinstance(node, ast.Subscript) and is_coeffs(node.value):
+                        bad.append(where)
+                    elif is_coeffs(node) and getattr(node.value, "id", None) not in fresh:
+                        bad.append(where)
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in _MUTATORS and is_coeffs(node.func.value)):
+                    bad.append(where)
+    assert not bad, bad
