@@ -7,9 +7,10 @@ dense sampling over curve points always applies, and a symbolic residual
 is reported whenever every cross product has a polynomial representative.
 Both read the compiled form of each Gram term (moment._form), the same
 record that decide and witness read: its elements for the sampling, its
-reduced products for the symbolic residual.  Both are divided by the size
-of their terms floored at 1 (the standard bound on the rounding error of
-a sum), per point and per monomial.
+adjoint (Form.terms, the map from a Gram matrix to polynomial terms that
+witness() also reads) for the symbolic residual.  Both are divided by the
+size of their terms floored at 1 (the standard bound on the rounding error
+of a sum), per point and per monomial.
 """
 
 from __future__ import annotations
@@ -110,17 +111,13 @@ def _sampled_residual(p, terms, case):
 def _symbolic_residual(p, terms, case):
     """max over monomials of |sum of contributions - normal_low(p)| / max(1, sum of their |.|).
 
-    A Gram term contributes W[pair] * coef to monomial mon through its
-    compiled form, W = G + G^T - diag G; None when a product has no
+    A Gram term contributes the terms of its compiled form's adjoint
+    (Form.terms, the map witness() also reads); None when a product has no
     polynomial representative.
     """
-    mons, vals = [], []
-    for form, g in terms:
-        if form.unknown is not None:
-            return None
-        G = g.known()
-        mons.append(form.mon)
-        vals.append(form.chi * (G + G.T - np.diag(np.diag(G))).ravel()[form.pair] * form.coef)
+    if any(form.unknown is not None for form, _ in terms):
+        return None
+    mons, vals = map(list, zip(*(form.terms(g.known()) for form, g in terms)))
     _, qmon, qcoef = _coo([(0, normal_low(p, case).coeffs)])
     mons.append(qmon)
     vals.append(-qcoef)

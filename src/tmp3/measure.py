@@ -17,9 +17,7 @@ from . import linalg, moment
 from .bases import basis_Vk, combined_lift
 from .curves import CurveCase, parametrization, sample_arrays, sample_points
 from .moment import Decision, MomentSequence, decide
-from .poly import BivarPoly, RationalElem, UnsupportedCase, product_on_curve
-
-_M = BivarPoly.monomial
+from .poly import BivarPoly, UnsupportedCase
 
 
 class NoMeasure(ValueError):
@@ -420,60 +418,28 @@ def generate(case: CurveCase, k: int, mu: AtomicMeasure | None = None,
 
 
 def witness(L: MomentSequence, decision: Decision | None = None) -> BivarPoly:
-    """Polynomial p >= 0 on the curve with L(p) < 0, from a failed psd check."""
+    """Polynomial p >= 0 on the curve with L(p) < 0, from a failed psd check.
+
+    With g the most negative eigenvector of the failing matrix, zero outside
+    its rows of the compiled form, p = chi * f * (sum g_r u_r)^2 is that
+    form read backwards (Form.polynomial of g g^T, the map the certificate
+    residual reads), so L(p) = g^T M g < 0 up to rounding.  p is accepted
+    only when L(p) < -n * u * sum |p_m beta_m|, n the number of terms of p
+    and u = 2^-53: the standard bound on the rounding error of a dot
+    product (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).
+    """
     dec = decision or decide(L)
     ref = dec.refutation
     if dec.passed() or ref is None:
         raise NoWitness(f"decision was {dec.verdict}")
-    case, k, els = L.case, L.k, ref.elements
-    M = ref.form.known()
-    evals, vecs = np.linalg.eigh(M)
-    g = vecs[:, 0]
-    num = BivarPoly.zero()
-    den = BivarPoly.const(1.0)
-    for e in els:
-        if e.rat.denominator.degree() > 0:
-            den = den * e.rat.denominator
-    for c, e in zip(g, els):
-        pad = _poly_div_exact(den, e.rat.denominator)
-        num = num + float(c) * (e.rat.numerator * pad)
-    u = RationalElem(num, den)
-    p = product_on_curve(u, u, ref.f, case, k)
-    if p is None:
-        raise NoWitness("failed to clear denominators in the witness square")
-    p = ref.chi * p
+    g = np.zeros(len(ref.form.elements))
+    g[ref.rows] = np.linalg.eigh(ref.matrix.known())[1][:, 0]
+    p = ref.form.polynomial(np.outer(g, g))
     val = L.value(p)
-    scale = L.scale()
-    if val >= -1e-12 * scale:
-        raise NoWitness(f"witness value {val:.3g} is not negative")
+    bound = len(p.coeffs) * 2.0**-53 * sum(abs(c * L.beta[m]) for m, c in p.coeffs.items())
+    if not val < -bound:
+        raise NoWitness(f"witness value {val:.3g} is not below the rounding bound -{bound:.3g}")
     return p
-
-
-def _poly_div_exact(den, sub):
-    """den / sub for the simple denominators used by basis elements."""
-    if sub.degree() == 0:
-        return den * (1.0 / sub.coeffs[(0, 0)])
-    # denominators here are single linear factors; division is exact
-    quot = {}
-    rem = dict(den.coeffs)
-    sub_terms = sorted(sub.coeffs.items(), reverse=True)
-    lead, lc = sub_terms[0]
-    while rem:
-        key = max(rem)
-        if rem[key] == 0.0:
-            rem.pop(key)
-            continue
-        i, j = key[0] - lead[0], key[1] - lead[1]
-        if i < 0 or j < 0:
-            break
-        c = rem[key] / lc
-        quot[(i, j)] = quot.get((i, j), 0.0) + c
-        for (si, sj), sc in sub.coeffs.items():
-            kk = (i + si, j + sj)
-            rem[kk] = rem.get(kk, 0.0) - c * sc
-            if abs(rem[kk]) < 1e-14:
-                rem.pop(kk)
-    return BivarPoly(quot)
 
 
 def sampled_min_on_curve(p: BivarPoly, case: CurveCase, n=500, seed=3):

@@ -78,13 +78,14 @@ class Check:
 
 @dataclass(frozen=True)
 class Refutation:
-    """The failing Gram form of a refutation and what it is written over:
-    its entries are chi * L(f * u_r * u_s) for the basis ``elements``."""
+    """The failing matrix of a refutation and the compiled form it came from:
+    ``matrix`` is the principal block ``rows`` of ``form.matrix(L)`` (all of it,
+    or P5's Schur block, rows 2: of the lift form), and witness() reads the
+    form backwards through ``Form.polynomial``."""
 
-    elements: tuple
-    f: RationalElem
-    chi: float
-    form: SymmetricForm
+    form: Form
+    rows: slice
+    matrix: SymmetricForm
 
 
 @dataclass
@@ -172,14 +173,17 @@ class Form:
     sum of coef[e] * beta[mon[e]] over the entries e with pair[e] = r*n + s,
     added in the order of the reduced product's terms.  ``unknown`` is the
     one pair whose product has no representative of degree <= 2k.  Decide,
-    certify and witness all read this record; a certificate Gram matrix G
-    pairs with it from the other side, as L(v^T G v) = <G, M(L)>.
+    certify and witness all read this record.  ``matrix`` maps moments to
+    the Gram matrix; its adjoint ``terms`` maps a Gram matrix G back to the
+    polynomial chi * f * v^T G v, so that L(chi f v^T G v) = <G, M(L)>: the
+    certificate residual and the refutation witness both read it.
     """
 
     labels: tuple
     elements: tuple
     f: RationalElem
     chi: float
+    k: int
     pair: np.ndarray
     mon: np.ndarray
     coef: np.ndarray
@@ -193,6 +197,19 @@ class Form:
         lower = _lower(n)
         m[lower] = m.T[lower]
         return SymmetricForm(list(self.labels), m, self.unknown)
+
+    def terms(self, G):
+        """(mon, value) terms of chi * f * v^T G v for a symmetric G over
+        ``elements``: pair r <= s carries W[r, s] * coef, W = G + G^T - diag G.
+        G must vanish on the ``unknown`` pair, which has no terms."""
+        W = G + G.T - np.diag(np.diag(G))
+        return self.mon, self.chi * W.ravel()[self.pair] * self.coef
+
+    def polynomial(self, G) -> BivarPoly:
+        """chi * f * v^T G v as a polynomial of degree <= 2k, each monomial's
+        terms summed in the order of ``terms``."""
+        keys = _graded_keys(self.k)
+        return BivarPoly(dict(zip(keys, np.bincount(*self.terms(G), minlength=len(keys)))))
 
 
 @lru_cache(maxsize=512)
@@ -242,7 +259,7 @@ def _form(case: CurveCase, k: int, which: str) -> Form:
                 raise AssertionError(f"more than one undetermined {which} entry for {case.id}")
     if which == "lift":
         assert unknown == combined_lift(case, k).unknown, unknown
-    return Form(tuple(e.label for e in els), tuple(els), f, chi, *_coo(rows), unknown, partial)
+    return Form(tuple(e.label for e in els), tuple(els), f, chi, k, *_coo(rows), unknown, partial)
 
 
 def _v2_quotient_elements(case, k):
@@ -477,9 +494,8 @@ def _constructive_fallback(lift, checks, o_weight=0.0, work=None):
 
 
 def _refuted(checks, form: Form, M: SymmetricForm, rows=slice(None)):
-    """NotMomentFunctional from the failing matrix M of form (its elements[rows])."""
-    ref = Refutation(form.elements[rows], form.f, form.chi, M)
-    return Decision("NotMomentFunctional", checks, refutation=ref)
+    """NotMomentFunctional from the failing matrix M, the block ``rows`` of form."""
+    return Decision("NotMomentFunctional", checks, refutation=Refutation(form, rows, M))
 
 
 def _decide_v2(L, MB, mb, checks, tol):
@@ -603,6 +619,26 @@ def _p5_no_origin_singular(lift, checks, tol, tag=""):
     return okP and (okA or okB), ("rank_B" if okA else "rank_V" if okB else "")
 
 
+def _p5_lambda0(lift, lam0, checks, tol):
+    """The lambda0 branch: a point mass max(lam0, 0) at the origin, then the
+    rank conditions of a measure avoiding it on the shifted lift.
+
+    Returns (the passing Decision or None, the shifted lift); the shift is
+    None, and nothing is tried, when lam0 is clearly negative.
+    """
+    scale = lift.L.scale()
+    checks.append(Check("lambda0_nonneg", "pd", lam0 >= -tol.psd * scale, lam0 / scale))
+    if lam0 < -tol.psd * scale:
+        return None, None
+    lam = max(lam0, 0.0)
+    shifted = _p5_shift(lift, lam)
+    ok, br = _p5_no_origin_singular(shifted, checks, tol, tag="_lambda0")
+    if not ok:
+        return None, shifted
+    return Decision("MomentFunctional", checks, o_weight=lam, singular_branch=f"lambda0:{br}",
+                    lift=shifted), shifted
+
+
 def _decide_p5(L, MB, mb, checks, tol):
     """Isolated-point engine: split off a point mass at the origin as needed.
 
@@ -646,14 +682,9 @@ def _decide_p5(L, MB, mb, checks, tol):
             w = max(0.5 * (sigma1 - sigma2), 0.0)
             return Decision("MomentFunctional", checks, o_weight=w,
                             singular_branch="origin_split", lift=_p5_shift(lift, w))
-        lam0 = sigma1
-        checks.append(Check("lambda0_nonneg", "pd", lam0 >= -tol.psd * scale, lam0 / scale))
-        if lam0 >= -tol.psd * scale:
-            shifted = _p5_shift(lift, max(lam0, 0.0))
-            ok, br = _p5_no_origin_singular(shifted, checks, tol, tag="_lambda0")
-            if ok:
-                return Decision("MomentFunctional", checks, o_weight=max(lam0, 0.0),
-                                singular_branch=f"lambda0:{br}", lift=shifted)
+        dec, _ = _p5_lambda0(lift, sigma1, checks, tol)
+        if dec is not None:
+            return dec
         # all three branches failed: refuted when they did so with clear margins
         if sigma1 < -tol.psd * scale or sigma1 + sigma2 < -1e-6 * scale:
             return Decision("NotMomentFunctional", checks,
@@ -669,18 +700,13 @@ def _decide_p5(L, MB, mb, checks, tol):
     dec = _constructive_fallback(lift, checks)
     if dec is not None:
         return dec
-    lam0 = sigma1
-    checks.append(Check("lambda0_nonneg", "pd", lam0 >= -tol.psd * scale, lam0 / scale))
-    if lam0 < -tol.psd * scale:
+    dec, shifted = _p5_lambda0(lift, sigma1, checks, tol)
+    if dec is not None:
+        return dec
+    if shifted is None:
         return Decision("Inconclusive", checks,
                         note="singular moment matrix with negative point-mass weight")
-    lam = max(lam0, 0.0)
-    shifted = _p5_shift(lift, lam)
-    ok, br = _p5_no_origin_singular(shifted, checks, tol, tag="_lambda0")
-    if ok:
-        return Decision("MomentFunctional", checks, o_weight=lam, singular_branch=f"lambda0:{br}",
-                        lift=shifted)
-    dec = _constructive_fallback(lift, checks, o_weight=lam, work=shifted)
+    dec = _constructive_fallback(lift, checks, o_weight=max(sigma1, 0.0), work=shifted)
     if dec is not None:
         return dec
     return Decision("Inconclusive", checks,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import CASE_PARAMS, CONSTRUCTIVE
-from tmp3 import make_case
+from tmp3 import Certificate, SymmetricForm, make_case, verify_certificate
 from tmp3.measure import (
     Atom,
     AtomicMeasure,
@@ -260,17 +260,86 @@ def test_refutation_witness(build):
     L = MomentSequence(case, k, AtomicMeasure(atoms).moments(k))
     dec = decide(L)
     assert dec.verdict == "NotMomentFunctional"
+    ref = dec.refutation
     if which == "schur":
-        assert dec.refutation.elements == _form(case, k, "lift").elements[2:]
+        assert (ref.form, ref.rows) == (_form(case, k, "lift"), slice(2, None))
     else:
-        assert dec.refutation.elements == _form(case, k, which).elements
+        assert (ref.form, ref.rows) == (_form(case, k, which), slice(None))
     if which == "Vk":  # the witness clears the denominator of y/x
-        assert any(e.rat.denominator.degree() > 0 for e in dec.refutation.elements)
+        assert any(e.rat.denominator.degree() > 0 for e in ref.form.elements)
     p = witness(L, decision=dec)
     assert L.value(p) < 0
+    # p is the failing form read backwards: L(p) = g^T M g up to rounding
+    M = ref.matrix.known()
+    g = np.linalg.eigh(M)[1][:, 0]
+    assert abs(L.value(p) - g @ M @ g) <= _rounding_bound(p, L)
+    _assert_nonnegative_on_curve(p, case)
+
+
+def _rounding_bound(p, L):
+    """n * u * sum |p_m beta_m|, n the number of terms of p, u = 2^-53."""
+    return len(p.coeffs) * 2.0**-53 * sum(abs(c * L.beta[m]) for m, c in p.coeffs.items())
+
+
+def _assert_nonnegative_on_curve(p, case):
     for x, y, _ in sample_points(case, 200, seed=1):
         terms = [c * x**i * y**j for (i, j), c in p.coeffs.items()]
         assert sum(terms) >= -1e-8 * sum(map(abs, terms)), (x, y)
+
+
+def _bk_refuted():
+    """P3: a genuine 7-atom measure minus a point mass of 10; B_k fails first."""
+    case = make_case("P3")
+    mu = generate_measure(case, 8, 2, seed=0)
+    z = mu.atoms[7]
+    return case, mu.atoms[:7] + (Atom(z.x, z.y, -10.0),), "Bk"
+
+
+@pytest.mark.parametrize("build", [_bk_refuted, _vk_refuted])
+def test_witness_is_rank_one_certificate(build):
+    """The witness of a B_k or V^(k) refutation is the v1 certificate with the
+    refuting Gram matrix g g^T on its term and zeros on the other; the
+    sampled residual checks the adjoint map pointwise on the curve."""
+    case, atoms, which = build()
+    k = 2
+    L = MomentSequence(case, k, AtomicMeasure(atoms).moments(k))
+    dec = decide(L)
+    assert dec.verdict == "NotMomentFunctional"
+    ref = dec.refutation
+    assert ref.form is _form(case, k, which)
+    p = witness(L, decision=dec)
+    g = np.linalg.eigh(ref.matrix.known())[1][:, 0]
+    labels = {w: list(_form(case, k, w).labels) for w in ("Bk", "Vk")}
+    grams = {w: SymmetricForm(lab, np.zeros((len(lab), len(lab)))) for w, lab in labels.items()}
+    grams[which] = SymmetricForm(labels[which], np.outer(g, g))
+    res = verify_certificate(p, Certificate("v1", grams["Bk"], grams["Vk"]), case, k)
+    assert res.ok(), res
+
+
+def test_p5_witness_under_a_heavy_isolated_mass():
+    """P5 with a mass of 1e3 at the isolated point and a tiny mass subtracted
+    elsewhere: the Schur block refutes, and its witness vanishes at the origin,
+    so L(p) is tiny against L's scale yet far below the rounding bound of its
+    own terms; each refutation has a sound witness."""
+    case = make_case("P5")
+    refuted = 0
+    for n, seed in ((1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (3, 0)):
+        mu = generate_measure(case, n + 1, 2, seed=seed)
+        z = mu.atoms[n]
+        for eps in (5.6e-12, 1e-11, 3e-11, 1e-10):
+            atoms = mu.atoms[:n] + (Atom(0.0, 0.0, 1e3), Atom(z.x, z.y, -eps))
+            L = MomentSequence(case, 2, AtomicMeasure(atoms).moments(2))
+            dec = decide(L)
+            if not (dec.verdict == "NotMomentFunctional" and dec.witness_available):
+                continue
+            refuted += 1
+            p = witness(L, decision=dec)
+            assert L.value(p) < 0, (n, seed, eps)
+            # the value the signed measure gives p, which the origin mass does not reach
+            exact = sum(a.w * p.eval(a.x, a.y) for a in atoms)
+            assert L.value(p) == pytest.approx(exact, rel=1e-5), (n, seed, eps)
+            _assert_nonnegative_on_curve(p, case)
+    assert refuted == 12
 
 
 class TestRoundTripSubset:
