@@ -16,6 +16,8 @@ of a sum), per point and per monomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,23 +91,81 @@ def verify_certificate(p: BivarPoly, cert: Certificate, case: CurveCase,
 
 
 def _sampled_residual(p, terms, case):
-    """max over 200 pole-free sample points of |sum of terms - p| / max(1, sum of |terms|)."""
+    """max over 200 pole-free sample points of |sum of terms - p| / max(1, sum of |terms|).
+
+    The monomials of p and the unit-monomial elements x^i y^j of every form
+    are read from one power table, X**i and Y**j taken once per call (not
+    by repeated products, which round differently); the other elements, the
+    multiplier and the pole mask come from _form_samples, once per compiled
+    form.  Every value is the one RationalElem.eval_array gives (a unit
+    monomial's (0 + 1.0 * X**i * Y**j) / 1.0 up to the sign of a zero, which
+    no sum or |.| below shows) and the sums run in the same order, so the
+    residual is the term-by-term evaluation's, bit for bit.
+    """
     X, Y = sample_arrays(case, 200, seed=11)
-    total, scale = np.zeros(X.shape), np.zeros(X.shape)
-    for (i, j), c in p.coeffs.items():
-        t = c * X**i * Y**j
-        total, scale = total - t, scale + np.abs(t)
+    samples = [_form_samples(form, case) for form, _ in terms]
+    I, J = np.array(list(p.coeffs), dtype=np.intp).reshape(-1, 2).T
+    c = np.fromiter(p.coeffs.values(), dtype=float, count=len(p.coeffs))
+    XP = _powers(X, [I, *(s.i for s in samples)])
+    YP = _powers(Y, [J, *(s.j for s in samples)])
+    # with more than one point per row, numpy adds the rows one after the
+    # other (pairwise summation runs only along a contiguous reduced axis),
+    # in the order of p's terms, as a term-by-term loop does
+    T = c[:, None] * XP[I] * YP[J]
+    total, scale = -np.add.reduce(T, axis=0), np.add.reduce(np.abs(T), axis=0)
     pole = np.zeros(X.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        for form, g in terms:
-            V, bad = map(np.array, zip(*(e.rat.eval_array(X, Y) for e in form.elements)))
-            fv, fbad = form.f.eval_array(X, Y)
+        for (form, g), s in zip(terms, samples):
+            V = np.empty((len(form.elements), X.size))
+            V[s.mono] = XP[s.i] * YP[s.j]
+            V[s.rest] = s.values
             G = g.known()
-            total += form.chi * fv * np.sum(V * (G @ V), axis=0)
-            scale += np.abs(fv) * np.sum(np.abs(V) * (np.abs(G) @ np.abs(V)), axis=0)
-            pole |= bad.any(axis=0) | fbad
+            total += form.chi * s.fv * np.sum(V * (G @ V), axis=0)
+            scale += np.abs(s.fv) * np.sum(np.abs(V) * (np.abs(G) @ np.abs(V)), axis=0)
+            pole |= s.pole
         r = np.abs(total) / np.maximum(1.0, scale)
     return float(np.max(r[~pole], initial=0.0))
+
+
+def _powers(Z, exps):
+    """Z**e for e = 0 .. the largest entry of the exponent arrays, one row each."""
+    top = max(a.max(initial=0) for a in exps)
+    return np.array([Z**e for e in range(top + 1)])
+
+
+class _Samples(NamedTuple):
+    """A compiled form at the sample points of its case, but for the values
+    of its unit monomials, which the power table gives."""
+
+    mono: np.ndarray  # rows of the unit monomials x^i y^j
+    i: np.ndarray
+    j: np.ndarray
+    rest: np.ndarray  # rows of the other elements
+    values: np.ndarray  # their values, one row each
+    fv: np.ndarray  # the multiplier
+    pole: np.ndarray  # where an element or the multiplier has a pole
+
+
+@lru_cache(maxsize=512)
+def _form_samples(form, case) -> _Samples:
+    """The values _sampled_residual reads of a form but not from the power
+    table.  The unit monomials, most of the elements, are left out: over the
+    benchmark's 192 certificate forms this holds 1.0 MB where every element's
+    values would take 2.7 MB."""
+    X, Y = sample_arrays(case, 200, seed=11)
+    els = form.elements
+    with np.errstate(all="ignore"):
+        vals, bad = zip(*(e.rat.eval_array(X, Y) for e in els))
+        fv, fbad = form.f.eval_array(X, Y)
+    mono = [r for r, e in enumerate(els) if e.exps is not None]
+    rest = [r for r, e in enumerate(els) if e.exps is None]
+    i, j = np.array([els[r].exps for r in mono], dtype=np.intp).reshape(-1, 2).T
+    out = _Samples(np.array(mono, dtype=np.intp), i, j, np.array(rest, dtype=np.intp),
+                   np.array([vals[r] for r in rest]).reshape(len(rest), X.size),
+                   fv, np.array(bad).any(axis=0) | fbad)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _symbolic_residual(p, terms, case):
@@ -113,7 +173,8 @@ def _symbolic_residual(p, terms, case):
 
     A Gram term contributes the terms of its compiled form's adjoint
     (Form.terms, the map witness() also reads); None when a product has no
-    polynomial representative.
+    polynomial representative.  The terms are binned on their graded
+    monomial index, in the order given.
     """
     if any(form.unknown is not None for form, _ in terms):
         return None
@@ -121,8 +182,7 @@ def _symbolic_residual(p, terms, case):
     _, qmon, qcoef = _coo([(0, normal_low(p, case).coeffs)])
     mons.append(qmon)
     vals.append(-qcoef)
-    _, m = np.unique(np.concatenate(mons), return_inverse=True)
-    vals = np.concatenate(vals)
+    m, vals = np.concatenate(mons), np.concatenate(vals)
     res = np.abs(np.bincount(m, weights=vals))
     mag = np.bincount(m, weights=np.abs(vals))
     return float(np.max(res / np.maximum(mag, 1.0), initial=0.0))

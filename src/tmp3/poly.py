@@ -415,18 +415,10 @@ def _product(*factors):
 
 def _divide_on_curve(num, den, case, dmax):
     """Solve p*den = num modulo the curve ideal with deg p <= dmax."""
-    mons = low_monomials(case, dmax)
-    cols = _division_columns(case, tuple(den.coeffs.items()), dmax)
-    support = set(num.coeffs)
-    for c in cols:
-        support.update(c.coeffs)
-    support = sorted(support)
-    idx = {m: r for r, m in enumerate(support)}
-    A = np.zeros((len(support), len(mons)))
-    for c_i, c in enumerate(cols):
-        for m, val in c.coeffs.items():
-            A[idx[m], c_i] = val
-    b = np.zeros(len(support))
+    mons, cols, idx, A = _division_columns(case, tuple(den.coeffs.items()), dmax)
+    if not idx.keys() >= num.coeffs.keys():  # rare: num reaches past the columns
+        idx, A = _division_matrix(cols, num.coeffs)
+    b = np.zeros(len(idx))
     for m, val in num.coeffs.items():
         b[idx[m]] = val
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
@@ -440,11 +432,29 @@ def _divide_on_curve(num, den, case, dmax):
 
 @lru_cache(maxsize=64)
 def _division_columns(case, den_terms, dmax):
-    """normal_low(x^i y^j * den) over low_monomials(case, dmax); den is given by
-    its terms in order, which fix the order of every column's terms."""
+    """(mons, cols, idx, A): the columns normal_low(x^i y^j * den) over
+    mons = low_monomials(case, dmax), the row index of their sorted support
+    and the dense matrix they form over it.  den is given by its terms in
+    order, which fix the order of every column's terms."""
     den = BivarPoly(dict(den_terms))
-    return tuple(normal_low(BivarPoly.monomial(i, j) * den, case)
-                 for (i, j) in low_monomials(case, dmax))
+    mons = low_monomials(case, dmax)
+    cols = tuple(normal_low(BivarPoly.monomial(i, j) * den, case) for (i, j) in mons)
+    return (mons, cols, *_division_matrix(cols, ()))
+
+
+def _division_matrix(cols, extra):
+    """Row index of the sorted union of extra and the columns' supports, and
+    the columns as a dense read-only matrix over those rows."""
+    support = set(extra)
+    for c in cols:
+        support.update(c.coeffs)
+    idx = {m: r for r, m in enumerate(sorted(support))}
+    A = np.zeros((len(idx), len(cols)))
+    for c_i, c in enumerate(cols):
+        for m, val in c.coeffs.items():
+            A[idx[m], c_i] = val
+    A.flags.writeable = False
+    return idx, A
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,7 @@
+import functools
+import importlib.util
+import pathlib
+
 import pytest
 
 from tmp3 import make_case
@@ -52,6 +56,16 @@ CONSTRUCTIVE = [
     ("P12", CASE_PARAMS["P12"]),
     ("P13", {}),
 ]
+
+
+@functools.lru_cache(maxsize=1)
+def bench_corpus():
+    """bench/corpus.py, which is imported, not edited."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def every_case():

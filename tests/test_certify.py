@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import bench_corpus
 from tmp3 import make_case
 from tmp3.bases import basis_Bk, basis_Rk1, basis_Vk
 from tmp3.certify import (
@@ -11,7 +12,7 @@ from tmp3.certify import (
     sos_from_gram,
     verify_certificate,
 )
-from tmp3.curves import chi_flags, multiplier
+from tmp3.curves import chi_flags, multiplier, sample_arrays
 from tmp3.linalg import SymmetricForm
 from tmp3.poly import BivarPoly, RationalElem, normal_low, product_on_curve
 
@@ -235,3 +236,109 @@ def test_sparse_gram_with_tiny_entries(noise):
     assert res.ok()
     assert not verify_certificate(p + 1.0, Certificate("v1", SymmetricForm(b.labels(), G)),
                                   case, k).ok()
+
+
+# ---------------------------------------------------------------------------
+# The sampled residual reads a power table and a per-form cache: same bits
+
+
+CORPUS = bench_corpus()
+
+
+def _corpus_certificate(label, k, seed):
+    """(case, p, certificate) of the corpus certificate of label at k."""
+    _, cid, params = next(c for c in CORPUS.CASES if c[0] == label)
+    rec = CORPUS.make_certificate(seed, label, cid, params, k)
+
+    def gram(key, labels):
+        return None if rec[key] is None else SymmetricForm(labels, rec[key])
+
+    cert = Certificate(rec["form"], gram("gram0", rec["labels0"]),
+                       gram("gram1", rec["labels1"]), gram("gram2", rec["labels1"]))
+    return make_case(cid, params), BivarPoly(CORPUS.poly_from_list(rec["p"])), cert
+
+
+def _reference_sampled(p, terms, case):
+    """The sampled residual with p and every element evaluated term by term at
+    each call, through RationalElem.eval_array."""
+    X, Y = sample_arrays(case, 200, seed=11)
+    total, scale = np.zeros(X.shape), np.zeros(X.shape)
+    for (i, j), c in p.coeffs.items():
+        t = c * X**i * Y**j
+        total, scale = total - t, scale + np.abs(t)
+    pole = np.zeros(X.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for form, g in terms:
+            V, bad = map(np.array, zip(*(e.rat.eval_array(X, Y) for e in form.elements)))
+            fv, fbad = form.f.eval_array(X, Y)
+            G = g.known()
+            total += form.chi * fv * np.sum(V * (G @ V), axis=0)
+            scale += np.abs(fv) * np.sum(np.abs(V) * (np.abs(G) @ np.abs(V)), axis=0)
+            pole |= bad.any(axis=0) | fbad
+        r = np.abs(total) / np.maximum(1.0, scale)
+    return float(np.max(r[~pole], initial=0.0))
+
+
+@pytest.mark.parametrize("label", [c[0] for c in CORPUS.CASES])
+def test_sampled_residual_matches_reference(label, monkeypatch):
+    """Valid and shifted corpus certificates (seed 2, k = 2..4): the sampled
+    residual equals the term-by-term evaluation bit for bit.  P7-P9 reach
+    the per-form cache with a rational V^(k) element (the partial V^(k) of
+    P10 and P11 misses it), other cases with composite elements or a
+    non-constant multiplier."""
+    from tmp3 import certify
+
+    seen = []
+
+    def recording(p, terms, case):
+        seen.append((p, terms, case))
+        return sampled(p, terms, case)
+
+    sampled = certify._sampled_residual
+    monkeypatch.setattr(certify, "_sampled_residual", recording)
+    rational = False
+    for k in (2, 3, 4):
+        case, p, cert = _corpus_certificate(label, k, seed=2)
+        for q in (p, p + 1.0):
+            res = verify_certificate(q, cert, case, k)
+            assert res.sampled == _reference_sampled(*seen[-1])
+        rational |= any(e.kind == "rational" for form, _ in seen[-1][1] for e in form.elements)
+    assert rational or label not in ("P7", "P8", "P9")
+
+
+def test_caches_do_not_change_bits():
+    """Certificate residuals and rational products, cold, warm, and after the
+    per-form samples, the sample points and the division columns are cleared."""
+    from tmp3 import certify, poly
+    from tmp3.moment import _form
+
+    def clear():
+        certify._form_samples.cache_clear()
+        sample_arrays.cache_clear()
+        poly._division_columns.cache_clear()
+
+    def outputs():
+        out = []
+        for label in ("P3", "P5", "P7", "P8", "P15"):
+            for k in (2, 3):
+                case, p, cert = _corpus_certificate(label, k, seed=1)
+                for q in (p, p + 1.0):
+                    res = verify_certificate(q, cert, case, k)
+                    out.append((res.sampled, res.symbolic))
+                for which in ("Bk",) if case.is_v2() else ("Bk", "Vk"):
+                    form = _form(case, k, which)
+                    for u in form.elements:
+                        for v in form.elements:
+                            if u.rat.denominator.degree() > 0 or v.rat.denominator.degree() > 0:
+                                r = product_on_curve(u.rat, v.rat, form.f, case, k)
+                                out.append(None if r is None else list(r.coeffs.items()))
+        return out
+
+    clear()
+    cold = outputs()
+    assert certify._form_samples.cache_info().currsize > 0
+    assert poly._division_columns.cache_info().currsize > 0
+    warm = outputs()
+    clear()
+    assert outputs() == cold == warm
+    assert any(isinstance(o, list) for o in cold)

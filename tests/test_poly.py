@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import CASE_PARAMS
+from conftest import CASE_PARAMS, bench_corpus
 from tmp3 import make_case
 from tmp3.curves import parametrization
 from tmp3.poly import (
@@ -199,19 +199,8 @@ def test_unknown_positions_match_partial_cases():
 # Caches of the symbolic layer: every cached answer is the rewrite's own
 
 
-def _bench_cases():
-    """(label, case id, params) of bench/corpus.py, which is imported, not edited."""
-    import importlib.util
-    import pathlib
-
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("bench_corpus", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.CASES
-
-
-BENCH_CASES = _bench_cases()
+#: (label, case id, params) of the benchmark corpus
+BENCH_CASES = bench_corpus().CASES
 
 
 @pytest.mark.parametrize("label,cid,params", BENCH_CASES, ids=[c[0] for c in BENCH_CASES])

@@ -32,3 +32,16 @@ def test_outputs_digest_lines(digest, tmp_path):
     cert = digest.cert_line(digest.corpus.make_certificate(seed, *key))
     assert len(cert["residuals"]) == 2
     assert all(len(r) == 3 for r in cert["residuals"])
+
+
+@pytest.mark.parametrize("label,form", [("P15", "v2"), ("P8", "v1")])
+def test_outputs_digest_cert_kinds(digest, label, form):
+    """cert_line on a v2 certificate and on a v1 certificate with a rational
+    V^(k) element: every element kind the sampled residual tells apart."""
+    _, cid, params = next(c for c in digest.corpus.CASES if c[0] == label)
+    rec = digest.corpus.make_certificate(digest.SEEDS[0], label, cid, params, 2)
+    assert rec["form"] == form
+    assert form == "v2" or any("/" in lbl for lbl in rec["labels1"])
+    (valid, shifted) = digest.cert_line(rec)["residuals"]
+    assert valid[2] and not shifted[2]
+    assert float.fromhex(valid[0]) <= 1e-7 < float.fromhex(shifted[0])
