@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .curves import CurveCase, sample_arrays
 from .linalg import SymmetricForm
-from .moment import _coo, _form
+from .moment import _form, _terms
 from .poly import BivarPoly, normal_low
 
 
@@ -94,20 +94,21 @@ def _sampled_residual(p, terms, case):
     """max over 200 pole-free sample points of |sum of terms - p| / max(1, sum of |terms|).
 
     The monomials of p and the unit-monomial elements x^i y^j of every form
-    are read from one power table, X**i and Y**j taken once per call (not
-    by repeated products, which round differently); the other elements, the
-    multiplier and the pole mask come from _form_samples, once per compiled
-    form.  Every value is the one RationalElem.eval_array gives (a unit
-    monomial's (0 + 1.0 * X**i * Y**j) / 1.0 up to the sign of a zero, which
-    no sum or |.| below shows) and the sums run in the same order, so the
-    residual is the term-by-term evaluation's, bit for bit.
+    are read from one power table, X**i and Y**j (not repeated products,
+    which round differently), whose rows are cached per case (_power); the
+    other elements, the multiplier and the pole mask come from
+    _form_samples, once per compiled form.  Every value is the one
+    RationalElem.eval_array gives (a unit monomial's (0 + 1.0 * X**i * Y**j)
+    / 1.0 up to the sign of a zero, which no sum or |.| below shows) and the
+    sums run in the same order, so the residual is the term-by-term
+    evaluation's, bit for bit.
     """
     X, Y = sample_arrays(case, 200, seed=11)
     samples = [_form_samples(form, case) for form, _ in terms]
     I, J = np.array(list(p.coeffs), dtype=np.intp).reshape(-1, 2).T
     c = np.fromiter(p.coeffs.values(), dtype=float, count=len(p.coeffs))
-    XP = _powers(X, [I, *(s.i for s in samples)])
-    YP = _powers(Y, [J, *(s.j for s in samples)])
+    XP = _powers(case, 0, [I, *(s.i for s in samples)])
+    YP = _powers(case, 1, [J, *(s.j for s in samples)])
     # with more than one point per row, numpy adds the rows one after the
     # other (pairwise summation runs only along a contiguous reduced axis),
     # in the order of p's terms, as a term-by-term loop does
@@ -127,10 +128,19 @@ def _sampled_residual(p, terms, case):
     return float(np.max(r[~pole], initial=0.0))
 
 
-def _powers(Z, exps):
-    """Z**e for e = 0 .. the largest entry of the exponent arrays, one row each."""
+def _powers(case, axis, exps):
+    """Z**e for e = 0 .. the largest entry of the exponent arrays, one row
+    each, Z the sample points' coordinate ``axis`` (0: X, 1: Y)."""
     top = max(a.max(initial=0) for a in exps)
-    return np.array([Z**e for e in range(top + 1)])
+    return np.array([_power(case, axis, e) for e in range(top + 1)])
+
+
+@lru_cache(maxsize=4096)
+def _power(case, axis, e):
+    """One read-only row of _powers, shared by every table of the case."""
+    Z = sample_arrays(case, 200, seed=11)[axis] ** e
+    Z.flags.writeable = False
+    return Z
 
 
 class _Samples(NamedTuple):
@@ -179,9 +189,9 @@ def _symbolic_residual(p, terms, case):
     if any(form.unknown is not None for form, _ in terms):
         return None
     mons, vals = map(list, zip(*(form.terms(g.known()) for form, g in terms)))
-    _, qmon, qcoef = _coo([(0, normal_low(p, case).coeffs)])
-    mons.append(qmon)
-    vals.append(-qcoef)
+    qmon, qcoef = _terms(normal_low(p, case))
+    mons.append(np.frombuffer(qmon, dtype=np.intp))
+    vals.append(-np.frombuffer(qcoef, dtype=float))
     m, vals = np.concatenate(mons), np.concatenate(vals)
     res = np.abs(np.bincount(m, weights=vals))
     mag = np.bincount(m, weights=np.abs(vals))

@@ -25,8 +25,8 @@ from . import linalg
 from .bases import basis_Bk, basis_Rk1, basis_Vk, combined_lift
 from .curves import CurveCase, chi_flags
 from .linalg import Interval, SymmetricForm, Tolerances
-from .poly import (BasisElement, BivarPoly, RationalElem, UnivarPoly, normal_low,
-                   product_on_curve)
+from .poly import (_ONE, BasisElement, BivarPoly, RationalElem, UnivarPoly, _product,
+                   _rewrite_low, normal_low, product_on_curve)
 
 _M = BivarPoly.monomial
 
@@ -149,22 +149,6 @@ def _beta_vector(L: MomentSequence):
     return np.fromiter(map(L.beta.__getitem__, keys), dtype=float, count=len(keys))
 
 
-def _coo(rows):
-    """(row, mon, coef) arrays of [(row, {(i, j): c})], in the order given.
-
-    This is the one walk over reduced products: every map from moments to a
-    matrix or a residual reads the arrays built here.
-    """
-    row, mon, coef = [], [], []
-    for r, p in rows:
-        for (i, j), c in p.items():
-            row.append(r)
-            mon.append(_mon_index(i, j))
-            coef.append(c)
-    return (np.array(row, dtype=np.intp), np.array(mon, dtype=np.intp),
-            np.array(coef, dtype=float))
-
-
 @dataclass(frozen=True, eq=False)
 class Form:
     """One Gram-type matrix of a (case, k), compiled to a linear map of the moments.
@@ -231,35 +215,92 @@ def _form(case: CurveCase, k: int, which: str) -> Form:
             els, f, partial = vb.elements, case.multiplier().f, vb.partial
         else:
             els, f = combined_lift(case, k).elements, one
-
-        def product(u, v):
-            p = product_on_curve(u.rat, v.rat, f, case, k)
-            return None if p is None else p.coeffs
     else:
         fi = int(which[1])
-        fac = case.factors()[fi]
         if which[0] == "Q":
             els = _v2_quotient_elements(case, k)[fi]
         else:
             els = basis_Rk1(case, k).elements
-        f, chi = RationalElem(fac, BivarPoly.const(1.0)), float(chi_flags(case)[fi])
-
-        def product(u, v):
-            return normal_low(u.rat.numerator * v.rat.numerator * fac, case).coeffs
+        f = RationalElem(case.factors()[fi], BivarPoly.const(1.0))
+        chi = float(chi_flags(case)[fi])
     n = len(els)
-    rows, unknown = [], None
+    entry = _entries(case, k, els, f)
+    pairs, mons, coefs, unknown = [], [], [], None
     for r in range(n):
         for s in range(r, n):
-            p = product(els[r], els[s])
-            if p is not None:
-                rows.append((r * n + s, p))
+            e = entry(r, s)
+            if e is not None:
+                pairs.append(r * n + s)
+                mons.append(e[0])
+                coefs.append(e[1])
             elif unknown is None:
                 unknown = (r, s)
             else:
                 raise AssertionError(f"more than one undetermined {which} entry for {case.id}")
     if which == "lift":
         assert unknown == combined_lift(case, k).unknown, unknown
-    return Form(tuple(e.label for e in els), tuple(els), f, chi, k, *_coo(rows), unknown, partial)
+    # the entries' terms concatenated in (r, s) order: read-only views of the joined bytes
+    mon = np.frombuffer(b"".join(mons), dtype=np.intp)
+    coef = np.frombuffer(b"".join(coefs), dtype=float)
+    pair = np.repeat(np.array(pairs, dtype=np.intp), [len(m) // mon.itemsize for m in mons])
+    pair.flags.writeable = False
+    return Form(tuple(e.label for e in els), tuple(els), f, chi, k, pair, mon, coef,
+                unknown, partial)
+
+
+def _entries(case, k, els, f):
+    """entry(r, s): the terms (as _terms gives them) of f * u_r * u_s reduced
+    on the curve, or None when it has no representative of degree <= 2k.
+
+    A product of polynomials (every element but the rational ones, and every
+    multiplier) is read from the table _reduced, keyed by the terms of its
+    factors; a pair of unit monomials x^a y^b, x^c y^d enters it as the one
+    factor x^(a+c) y^(b+d), so every such pair with the same exponent sum
+    shares an entry.  A rational product goes through product_on_curve.  The
+    terms are those product_on_curve gives, bit for bit: it multiplies
+    u * v * f left to right (a product of unit monomials is exactly the
+    monomial of the exponent sum) and divides by the constant denominator 1.0.
+    """
+    terms = [tuple(e.rat.numerator.coeffs.items()) if e.rat.denominator.coeffs == _ONE
+             else None for e in els]
+    f_terms = tuple(f.numerator.coeffs.items()) if f.denominator.coeffs == _ONE else None
+    exps = [e.exps for e in els]
+
+    def entry(r, s):
+        if f_terms is None or terms[r] is None or terms[s] is None:
+            p = product_on_curve(els[r].rat, els[s].rat, f, case, k)
+            return None if p is None else _terms(p)
+        a, b = exps[r], exps[s]
+        if a is not None and b is not None:
+            factors = ((((a[0] + b[0], a[1] + b[1]), 1.0),), f_terms)
+        else:
+            factors = (terms[r], terms[s], f_terms)
+        mon, coef, deg = _reduced(case, factors)
+        return (mon, coef) if deg <= 2 * k else None
+
+    return entry
+
+
+@lru_cache(maxsize=16384)
+def _reduced(case, factors):
+    """(*_terms, degree) of normal_low of the product of the factors, each
+    given by its terms, multiplied left to right.
+
+    The table is shared by every k and every form of the case, and k enters
+    only through the degree test its readers make.  The rewrite is
+    normal_low's, but it does not fill normal_low's table of unit monomials,
+    since the result is kept here.
+    """
+    q = _rewrite_low(_product(*(BivarPoly(dict(t)) for t in factors)), case)
+    return (*_terms(q), q.degree())
+
+
+def _terms(p):
+    """p's graded monomial indices and coefficients, in p's order, as the
+    bytes of an intp and a float array (immutable, and smaller than tuples)."""
+    n = len(p.coeffs)
+    mon = np.fromiter((_mon_index(i, j) for i, j in p.coeffs), dtype=np.intp, count=n)
+    return mon.tobytes(), np.fromiter(p.coeffs.values(), dtype=float, count=n).tobytes()
 
 
 def _v2_quotient_elements(case, k):
@@ -278,10 +319,16 @@ def _v2_quotient_elements(case, k):
 
 @lru_cache(maxsize=512)
 def _ideal_rows(case: CurveCase, k: int):
-    """The rows L(x^a y^b * P), a + b <= 2k - 3, compiled like a form."""
-    P = case.defining_poly()
+    """The rows L(x^a y^b * P), a + b <= 2k - 3, compiled like a form: row
+    (a, b) holds P's terms in P's order, shifted by (a, b)."""
+    P = case.defining_poly().coeffs
     exps = [(a, d - a) for d in range(2 * k - 2) for a in range(d + 1)]
-    return (*_coo((r, (_M(a, b) * P).coeffs) for r, (a, b) in enumerate(exps)), len(exps))
+    row = np.repeat(np.arange(len(exps), dtype=np.intp), len(P))
+    mon = np.array([_mon_index(a + i, b + j) for a, b in exps for i, j in P], dtype=np.intp)
+    coef = np.tile(np.array(list(P.values()), dtype=float), len(exps))
+    for a in (row, mon, coef):
+        a.flags.writeable = False
+    return row, mon, coef, len(exps)
 
 
 def check_ideal_vanishing(L: MomentSequence) -> float:

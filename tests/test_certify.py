@@ -308,14 +308,17 @@ def test_sampled_residual_matches_reference(label, monkeypatch):
 
 def test_caches_do_not_change_bits():
     """Certificate residuals and rational products, cold, warm, and after the
-    per-form samples, the sample points and the division columns are cleared."""
-    from tmp3 import certify, poly
+    per-form samples, the power tables, the sample points, the division
+    columns and the product table are cleared."""
+    from tmp3 import certify, moment, poly
     from tmp3.moment import _form
 
     def clear():
         certify._form_samples.cache_clear()
+        certify._power.cache_clear()
         sample_arrays.cache_clear()
         poly._division_columns.cache_clear()
+        moment._reduced.cache_clear()
 
     def outputs():
         out = []
@@ -337,8 +340,19 @@ def test_caches_do_not_change_bits():
     clear()
     cold = outputs()
     assert certify._form_samples.cache_info().currsize > 0
+    assert certify._power.cache_info().currsize > 0
     assert poly._division_columns.cache_info().currsize > 0
     warm = outputs()
     clear()
     assert outputs() == cold == warm
     assert any(isinstance(o, list) for o in cold)
+
+
+def test_power_rows_are_read_only():
+    """The cached powers of the sample coordinates refuse in-place writes."""
+    from tmp3 import certify
+
+    case, p, cert = _corpus_certificate("P3", 2, seed=1)
+    verify_certificate(p, cert, case, 2)
+    with pytest.raises(ValueError):
+        certify._power(case, 0, 2)[0] = 1.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import CASE_PARAMS, CONSTRUCTIVE, P6_VARIANTS
+from conftest import CASE_PARAMS, CONSTRUCTIVE, P6_VARIANTS, bench_corpus
 from tmp3 import linalg, make_case, moment
 from tmp3.bases import basis_Bk, basis_Rk1, basis_Vk, combined_lift
 from tmp3.curves import chi_flags, sample_points
@@ -382,6 +382,119 @@ def test_compiled_forms_match_reference(cid, params):
             if case.is_constructive():
                 want = _reference_gram(L, combined_lift(case, k).elements, on_curve(one))
                 assert np.array_equal(lift_matrix(L).entries, want, equal_nan=True)
+
+
+def _form_kinds(case):
+    """The compiled forms a case has."""
+    kinds = ["Bk"] + (["Q0", "Q1", "R0", "R1"] if case.is_v2() else ["Vk"])
+    return kinds + (["lift"] if case.is_constructive() else [])
+
+
+def _reference_compile(case, k, which):
+    """(pair, mon, coef, unknown) of a form by the per-pair walk: the terms of
+    product_on_curve(u, v, f) (Bk, Vk, lift) or of normal_low(u * v * factor)
+    (Q, R), pair by pair and term by term."""
+    one = BivarPoly.const(1.0)
+    if which[0] in "QR":
+        fac = case.factors()[int(which[1])]
+        els = (_v2_quotient_elements(case, k)[int(which[1])] if which[0] == "Q"
+               else basis_Rk1(case, k).elements)
+
+        def product(u, v):
+            return normal_low(u.rat.numerator * v.rat.numerator * fac, case)
+    else:
+        if which == "Bk":
+            els, f = basis_Bk(case, k).elements, one
+        elif which == "Vk":
+            els, f = basis_Vk(case, k).elements, case.multiplier().f
+        else:
+            els, f = combined_lift(case, k).elements, one
+
+        def product(u, v):
+            return product_on_curve(u.rat, v.rat, f, case, k)
+    n = len(els)
+    pair, mon, coef, unknown = [], [], [], None
+    for r in range(n):
+        for s in range(r, n):
+            p = product(els[r], els[s])
+            if p is None:
+                unknown = (r, s)
+                continue
+            for (i, j), c in p.coeffs.items():
+                pair.append(r * n + s)
+                mon.append((i + j) * (i + j + 1) // 2 + i)
+                coef.append(c)
+    return (np.array(pair, dtype=np.intp), np.array(mon, dtype=np.intp),
+            np.array(coef, dtype=float), unknown)
+
+
+def _compiled(case, ks):
+    """The arrays of every form of the case at each k, compiled in the order of ks."""
+    out = {}
+    for k in ks:
+        for which in _form_kinds(case):
+            form = _form(case, k, which)
+            out[k, which] = (form.pair, form.mon, form.coef, form.unknown)
+    return out
+
+
+def _same_arrays(got, want):
+    return got[3] == want[3] and all(
+        np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got[:3], want[:3]))
+
+
+@pytest.mark.parametrize("label", [c[0] for c in bench_corpus().CASES])
+def test_compiled_arrays_match_reference(label):
+    """Every compiled form of every corpus label at k = 2..6 has the arrays of
+    the per-pair walk, bit for bit, compiled from empty tables in ascending k
+    and again in descending k (the product table is shared by every k)."""
+    _, cid, params = next(c for c in bench_corpus().CASES if c[0] == label)
+    case = make_case(cid, params)
+    ks = [k for k in range(2, 7) if k >= case.k_min]
+    for order in (ks, ks[::-1]):
+        _form.cache_clear()
+        moment._reduced.cache_clear()
+        got = _compiled(case, order)
+        for (k, which), arrays in got.items():
+            assert _same_arrays(arrays, _reference_compile(case, k, which)), (k, which)
+
+
+@pytest.mark.parametrize("cid", ["P7", "P4"])
+def test_product_on_curve_only_for_rational_pairs(monkeypatch, cid):
+    """Compiling the forms at k = 3 after k = 2 calls product_on_curve once per
+    pair with a rational element and for no other pair: products of
+    polynomials come from the shared table."""
+    case = make_case(cid, CASE_PARAMS[cid])
+    _form.cache_clear()
+    moment._reduced.cache_clear()
+    _compiled(case, [2])
+    calls = []
+    real = moment.product_on_curve
+
+    def counting(u, v, f, case, k):
+        calls.append((u, v))
+        return real(u, v, f, case, k)
+
+    monkeypatch.setattr(moment, "product_on_curve", counting)
+    _compiled(case, [3])
+    rational = 0
+    for which in _form_kinds(case):
+        els = _form(case, 3, which).elements
+        is_rat = [e.rat.denominator.degree() > 0 for e in els]
+        rational += sum(is_rat[r] or is_rat[s] for r in range(len(els))
+                        for s in range(r, len(els)))
+    assert rational > 0
+    assert len(calls) == rational
+    assert all(u.denominator.degree() > 0 or v.denominator.degree() > 0 for u, v in calls)
+
+
+def test_compiled_arrays_are_read_only():
+    """The cached arrays of a form and of the ideal rows refuse in-place writes."""
+    case = make_case("P4")
+    form = _form(case, 3, "Vk")
+    for a in (form.pair, form.mon, form.coef, *moment._ideal_rows(case, 3)[:3]):
+        with pytest.raises(ValueError):
+            a[0] = a[0]
 
 
 def _reference_hankel(L, value):
