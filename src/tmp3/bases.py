@@ -46,6 +46,12 @@ def _check_k(case, k):
 
 
 def basis_Bk(case: CurveCase, k: int) -> Basis:
+    return _basis_Bk(case, k)
+
+
+@lru_cache(maxsize=512)
+def _basis_Bk(case, k):
+    """B_k, built once per (case, k): basis_Vk and the lifts read it too."""
     _check_k(case, k)
     els = case.record.bk(case, k)
     assert len(els) == 3 * k, (case.id, k, len(els))

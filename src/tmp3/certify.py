@@ -24,8 +24,8 @@ import numpy as np
 from . import linalg
 from .curves import CurveCase, sample_arrays
 from .linalg import SymmetricForm
-from .moment import _form, _terms
-from .poly import BivarPoly, normal_low
+from .moment import _form
+from .poly import BivarPoly, _terms, normal_low
 
 
 class ShapeMismatch(ValueError):

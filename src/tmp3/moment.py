@@ -25,8 +25,8 @@ from . import linalg
 from .bases import basis_Bk, basis_Rk1, basis_Vk, combined_lift
 from .curves import CurveCase, chi_flags
 from .linalg import Interval, SymmetricForm, Tolerances
-from .poly import (_ONE, BasisElement, BivarPoly, RationalElem, UnivarPoly, _product,
-                   _rewrite_low, normal_low, product_on_curve)
+from .poly import (_UNIT, BasisElement, BivarPoly, RationalElem, UnivarPoly, _entry, _factor,
+                   _mon_index, _normal, normal_low, product_on_curve)
 
 _M = BivarPoly.monomial
 
@@ -127,11 +127,6 @@ _IDEAL_TOL = 1e-7  # decide's bound on the ideal residual, relative to the momen
 # Compiled forms
 
 
-def _mon_index(i, j):
-    """Graded index of x^i y^j: degree by degree, i ascending within a degree."""
-    return (i + j) * (i + j + 1) // 2 + i
-
-
 @lru_cache(maxsize=64)
 def _graded_keys(k):
     """The exponents (i, j), i + j <= 2k, in graded order."""
@@ -223,84 +218,67 @@ def _form(case: CurveCase, k: int, which: str) -> Form:
             els = basis_Rk1(case, k).elements
         f = RationalElem(case.factors()[fi], BivarPoly.const(1.0))
         chi = float(chi_flags(case)[fi])
+    pair, mon, coef, unknown = _assemble(case, k, els, f)
+    if len(unknown) > 1:
+        raise AssertionError(f"more than one undetermined {which} entry for {case.id}")
+    unknown = unknown[0] if unknown else None
+    if which == "lift":
+        assert unknown == combined_lift(case, k).unknown, unknown
+    return Form(tuple(e.label for e in els), tuple(els), f, chi, k, pair, mon, coef,
+                unknown, partial)
+
+
+def _assemble(case, k, els, f):
+    """(pair, mon, coef, undetermined pairs) of f * u_r * u_s over els, r <= s.
+
+    Every entry is read from the symbolic tables.  With a polynomial f, a
+    pair of unit monomials x^a y^b, x^c y^d is read from _shifted at the
+    exponent sum (a + c, b + d), the table entry of f's terms shifted by it
+    (their exact product), so each distinct sum costs one lookup; every other
+    pair goes through poly._entry.  The arrays are the entries' terms joined
+    in (r, s) order, read-only; an undetermined pair has no terms.
+    """
     n = len(els)
-    entry = _entries(case, k, els, f)
-    pairs, mons, coefs, unknown = [], [], [], None
+    fac = _factor(f)
+    facs = [_factor(e.rat) for e in els]
+    exps = [e.exps for e in els]
+    shifted = _shifted(case, fac[0]) if fac[1] == _UNIT else None
+    pairs, mons, coefs, unknown = [], [], [], []
     for r in range(n):
+        a = exps[r]
         for s in range(r, n):
-            e = entry(r, s)
-            if e is not None:
+            b = exps[s]
+            if shifted is None or a is None or b is None:
+                e = _entry(case, k, facs[r], facs[s], fac)
+            else:
+                m = (a[0] + b[0], a[1] + b[1])
+                e = shifted.get(m)
+                if e is None:
+                    e = shifted[m] = _normal(case, tuple(((m[0] + i, m[1] + j), c)
+                                                         for (i, j), c in fac[0]))
+                if e[2] > 2 * k:
+                    e = None
+            if e is None:
+                unknown.append((r, s))
+            else:
                 pairs.append(r * n + s)
                 mons.append(e[0])
                 coefs.append(e[1])
-            elif unknown is None:
-                unknown = (r, s)
-            else:
-                raise AssertionError(f"more than one undetermined {which} entry for {case.id}")
-    if which == "lift":
-        assert unknown == combined_lift(case, k).unknown, unknown
     # the entries' terms concatenated in (r, s) order: read-only views of the joined bytes
     mon = np.frombuffer(b"".join(mons), dtype=np.intp)
     coef = np.frombuffer(b"".join(coefs), dtype=float)
     pair = np.repeat(np.array(pairs, dtype=np.intp), [len(m) // mon.itemsize for m in mons])
     pair.flags.writeable = False
-    return Form(tuple(e.label for e in els), tuple(els), f, chi, k, pair, mon, coef,
-                unknown, partial)
+    return pair, mon, coef, unknown
 
 
-def _entries(case, k, els, f):
-    """entry(r, s): the terms (as _terms gives them) of f * u_r * u_s reduced
-    on the curve, or None when it has no representative of degree <= 2k.
-
-    A product of polynomials (every element but the rational ones, and every
-    multiplier) is read from the table _reduced, keyed by the terms of its
-    factors; a pair of unit monomials x^a y^b, x^c y^d enters it as the one
-    factor x^(a+c) y^(b+d), so every such pair with the same exponent sum
-    shares an entry.  A rational product goes through product_on_curve.  The
-    terms are those product_on_curve gives, bit for bit: it multiplies
-    u * v * f left to right (a product of unit monomials is exactly the
-    monomial of the exponent sum) and divides by the constant denominator 1.0.
-    """
-    terms = [tuple(e.rat.numerator.coeffs.items()) if e.rat.denominator.coeffs == _ONE
-             else None for e in els]
-    f_terms = tuple(f.numerator.coeffs.items()) if f.denominator.coeffs == _ONE else None
-    exps = [e.exps for e in els]
-
-    def entry(r, s):
-        if f_terms is None or terms[r] is None or terms[s] is None:
-            p = product_on_curve(els[r].rat, els[s].rat, f, case, k)
-            return None if p is None else _terms(p)
-        a, b = exps[r], exps[s]
-        if a is not None and b is not None:
-            factors = ((((a[0] + b[0], a[1] + b[1]), 1.0),), f_terms)
-        else:
-            factors = (terms[r], terms[s], f_terms)
-        mon, coef, deg = _reduced(case, factors)
-        return (mon, coef) if deg <= 2 * k else None
-
-    return entry
-
-
-@lru_cache(maxsize=16384)
-def _reduced(case, factors):
-    """(*_terms, degree) of normal_low of the product of the factors, each
-    given by its terms, multiplied left to right.
-
-    The table is shared by every k and every form of the case, and k enters
-    only through the degree test its readers make.  The rewrite is
-    normal_low's, but it does not fill normal_low's table of unit monomials,
-    since the result is kept here.
-    """
-    q = _rewrite_low(_product(*(BivarPoly(dict(t)) for t in factors)), case)
-    return (*_terms(q), q.degree())
-
-
-def _terms(p):
-    """p's graded monomial indices and coefficients, in p's order, as the
-    bytes of an intp and a float array (immutable, and smaller than tuples)."""
-    n = len(p.coeffs)
-    mon = np.fromiter((_mon_index(i, j) for i, j in p.coeffs), dtype=np.intp, count=n)
-    return mon.tobytes(), np.fromiter(p.coeffs.values(), dtype=float, count=n).tobytes()
+@lru_cache(maxsize=512)
+def _shifted(case, f_terms):
+    """{(a, b): the table entry (poly._normal) of x^a y^b * f}, f given by its
+    terms: x^a y^b * f is f's terms shifted by (a, b), in f's order, exactly.
+    Filled as the forms read it, and shared by every k and every form with
+    this multiplier."""
+    return {}
 
 
 def _v2_quotient_elements(case, k):

@@ -264,7 +264,9 @@ class BasisElement:
     exps: tuple | None = None  # (i, j) for monomials
 
     @staticmethod
+    @lru_cache(maxsize=4096)
     def monomial(i, j):
+        """The element x^i y^j, one shared object per (i, j)."""
         return BasisElement("monomial", _mono_label(i, j),
                             RationalElem(BivarPoly.monomial(i, j), BivarPoly.const(1.0)), (i, j))
 
@@ -384,23 +386,16 @@ def product_on_curve(u, v, f, case, k):
     with a polynomial of degree <= 2k on the curve; None marks the
     undetermined ("?") entries of the partial moment matrices.
     """
-    u = as_rational(u)
-    v = as_rational(v)
-    f = as_rational(f)
-    num = _product(u.numerator, v.numerator, f.numerator)
-    den = _product(u.denominator, v.denominator, f.denominator)
-    den = normal_low(den, case)
-    num = normal_low(num, case)
-    if num.is_zero():
-        return BivarPoly.zero()
-    if den.degree() == 0:
-        c = den.coeffs[(0, 0)]
-        res = num * (1.0 / c)
-        return res if res.degree() <= 2 * k else None
-    return _divide_on_curve(num, den, case, 2 * k)
+    e = _entry(case, k, _factor(u), _factor(v), _factor(f))
+    if e is None:
+        return None
+    i, j = _exps(np.frombuffer(e[0], dtype=np.intp))
+    return _poly(zip(zip(i.tolist(), j.tolist()), np.frombuffer(e[1]).tolist()))
 
 
 _ONE = {(0, 0): 1.0}
+_UNIT = (((0, 0), 1.0),)  # the terms of the constant 1
+_ONE_BYTES = np.float64(1.0).tobytes()
 
 
 def _product(*factors):
@@ -413,48 +408,147 @@ def _product(*factors):
     return BivarPoly.const(1.0) if out is None else out
 
 
-def _divide_on_curve(num, den, case, dmax):
-    """Solve p*den = num modulo the curve ideal with deg p <= dmax."""
-    mons, cols, idx, A = _division_columns(case, tuple(den.coeffs.items()), dmax)
-    if not idx.keys() >= num.coeffs.keys():  # rare: num reaches past the columns
-        idx, A = _division_matrix(cols, num.coeffs)
-    b = np.zeros(len(idx))
-    for m, val in num.coeffs.items():
-        b[idx[m]] = val
+def _poly(terms):
+    p = BivarPoly()
+    p.coeffs = dict(terms)
+    return p
+
+
+def _factor(e):
+    """A polynomial or quotient as the terms of its numerator and of its denominator."""
+    r = as_rational(e)
+    return tuple(r.numerator.coeffs.items()), tuple(r.denominator.coeffs.items())
+
+
+def _mon_index(i, j):
+    """Graded index of x^i y^j: degree by degree, i ascending within a degree."""
+    return (i + j) * (i + j + 1) // 2 + i
+
+
+def _exps(mon):
+    """The exponent arrays (i, j) of an array of graded indices (the degree
+    from the square root is exact for indices far below 2^50)."""
+    d = ((np.sqrt(8 * mon + 1) - 1) // 2).astype(np.intp)
+    i = mon - d * (d + 1) // 2
+    return i, d - i
+
+
+def _rows(mon):
+    """(rows, where): the distinct graded indices in mon, sorted as their
+    exponent pairs (i, j), and where[g], the row of graded index g or -1.
+    The last entry of where is -1, so where.take(..., mode="clip") sends
+    every index past the rows there."""
+    rows = np.unique(mon)
+    i, j = _exps(rows)
+    rows = rows[np.lexsort((j, i))]
+    where = np.full(rows.max(initial=-1) + 2, -1, dtype=np.intp)
+    where[rows] = np.arange(len(rows))
+    return rows, where
+
+
+def _terms(p):
+    """p's graded monomial indices and coefficients, in p's order, as the
+    bytes of an intp and a float array (immutable, and smaller than tuples)."""
+    mon = [_mon_index(i, j) for i, j in p.coeffs]
+    return (np.array(mon, dtype=np.intp).tobytes(),
+            np.array(list(p.coeffs.values()), dtype=float).tobytes())
+
+
+def _entry(case, k, u, v, f):
+    """The terms (as _terms gives them) of f * u * v reduced on the curve, or
+    None when it has no representative of degree <= 2k; each factor is given
+    as _factor gives it.
+
+    The numerator u*v*f and the denominator are taken left to right and
+    reduced by normal_low (_quotient); a constant denominator c scales the
+    numerator by 1/c, any other one is divided out on the curve (_divide).
+    """
+    num, den = _quotient(case, u, v, f)
+    if not num[0]:
+        return num[:2]
+    if den[2] == 0:
+        coef = num[1]
+        if den[1] != _ONE_BYTES:  # num * (1/c); the scale 1/1.0 changes no bit
+            coef = (np.frombuffer(coef) * (1.0 / float(np.frombuffer(den[1])[0]))).tobytes()
+        return (num[0], coef) if num[2] <= 2 * k else None
+    return _divide(case, 2 * k, num, den)
+
+
+@lru_cache(maxsize=16384)
+def _quotient(case, u, v, f):
+    """The table entries (_normal) of the numerator and of the denominator of
+    f * u * v, each the product of the factors' terms taken left to right."""
+    return tuple(_normal(case, _product_terms(*terms)) for terms in zip(u, v, f))
+
+
+def _product_terms(*factors):
+    """The terms of _product of the polynomials with these terms."""
+    factors = [t for t in factors if t != _UNIT]
+    if len(factors) < 2:
+        return factors[0] if factors else _UNIT
+    return tuple(_product(*map(_poly, factors)).coeffs.items())
+
+
+@lru_cache(maxsize=32768)
+def _normal(case, terms):
+    """(*_terms, degree) of normal_low of the polynomial with these terms, in
+    this order: the one table of reduced polynomials of a case.
+
+    Products of polynomials, the numerators and denominators of quotients and
+    the division columns are all read from it, keyed by the terms of the
+    exact product, so every k and every form shares an entry.  The rewrite is
+    normal_low's, but it does not fill normal_low's table of unit monomials.
+    """
+    q = _rewrite_low(_poly(terms), case)
+    return (*_terms(q), q.degree())
+
+
+@lru_cache(maxsize=4096)
+def _divide(case, dmax, num, den):
+    """The terms of p, deg p <= dmax, with p * den = num on the curve (table
+    entries), by least squares over the division columns; None when the
+    residual shows that no such p exists.  One lstsq per distinct division,
+    shared by every form and every product that needs it: a single solve with
+    many right-hand sides would change bits."""
+    mons, rows, where, A = _division_matrix(case, den, dmax)
+    mon = np.frombuffer(num[0], dtype=np.intp)
+    pos = where.take(mon, mode="clip")
+    if (pos < 0).any():  # rare: num reaches past the columns
+        wider, where = _rows(np.concatenate((rows, mon)))
+        A_wide = np.zeros((len(wider), len(mons)))
+        A_wide[where[rows]] = A
+        A, pos = A_wide, where[mon]
+    b = np.zeros(len(A))
+    b[pos] = np.frombuffer(num[1])
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     resid = np.linalg.norm(A @ sol - b)
     scale = max(1.0, np.linalg.norm(b))
     if resid > 1e-8 * scale:
         return None
-    p = BivarPoly({m: s for m, s in zip(mons, sol)})
-    return p.chop(1e-11 * max(1.0, p.max_abs_coeff()))
+    size = np.abs(sol)
+    keep = size > 1e-11 * max(1.0, size.max(initial=0.0))
+    return mons[keep].tobytes(), sol[keep].tobytes()
 
 
 @lru_cache(maxsize=64)
-def _division_columns(case, den_terms, dmax):
-    """(mons, cols, idx, A): the columns normal_low(x^i y^j * den) over
-    mons = low_monomials(case, dmax), the row index of their sorted support
-    and the dense matrix they form over it.  den is given by its terms in
-    order, which fix the order of every column's terms."""
-    den = BivarPoly(dict(den_terms))
+def _division_matrix(case, den, dmax):
+    """(mons, rows, where, A) of the division by the table entry den: the
+    graded indices of mons = low_monomials(case, dmax), those of the support
+    of the columns normal_low(x^i y^j * den) over mons in sorted (i, j) order,
+    their row map (_rows), and the dense read-only matrix the columns form
+    over those rows.  x^i y^j * den has den's terms shifted by (i, j), in
+    den's order, so each column is a table entry."""
     mons = low_monomials(case, dmax)
-    cols = tuple(normal_low(BivarPoly.monomial(i, j) * den, case) for (i, j) in mons)
-    return (mons, cols, *_division_matrix(cols, ()))
-
-
-def _division_matrix(cols, extra):
-    """Row index of the sorted union of extra and the columns' supports, and
-    the columns as a dense read-only matrix over those rows."""
-    support = set(extra)
-    for c in cols:
-        support.update(c.coeffs)
-    idx = {m: r for r, m in enumerate(sorted(support))}
-    A = np.zeros((len(idx), len(cols)))
-    for c_i, c in enumerate(cols):
-        for m, val in c.coeffs.items():
-            A[idx[m], c_i] = val
+    di, dj = _exps(np.frombuffer(den[0], dtype=np.intp))
+    shift = list(zip(di.tolist(), dj.tolist(), np.frombuffer(den[1]).tolist()))
+    cols = [_normal(case, tuple(((i + a, j + b), c) for a, b, c in shift)) for i, j in mons]
+    mon = np.frombuffer(b"".join(c[0] for c in cols), dtype=np.intp)
+    rows, where = _rows(mon)
+    col = np.repeat(np.arange(len(cols)), [len(c[0]) // mon.itemsize for c in cols])
+    A = np.zeros((len(rows), len(cols)))
+    A[where[mon], col] = np.frombuffer(b"".join(c[1] for c in cols))
     A.flags.writeable = False
-    return idx, A
+    return np.array([_mon_index(i, j) for i, j in mons], dtype=np.intp), rows, where, A
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
 from tmp3 import make_case
@@ -79,3 +80,48 @@ def all_cases():
 
 def rel_err(a, b):
     return abs(a - b) / (1.0 + abs(b))
+
+
+def reference_product(u, v, f, case, k):
+    """product_on_curve by its definition, on BivarPoly and without a table.
+
+    Numerator and denominator of u * v * f are taken left to right and
+    reduced by normal_low's rewrite. A constant denominator c scales the
+    numerator by 1/c; any other one is solved for by least squares over the
+    columns x^i y^j * den (i + j <= 2k, irreducible), one row per monomial of
+    the columns and the numerator in sorted order, and the solution is
+    chopped at 1e-11 of its largest coefficient."""
+    from tmp3.poly import BivarPoly, _product, _rewrite_low, as_rational, low_monomials
+
+    u, v, f = as_rational(u), as_rational(v), as_rational(f)
+    num = _rewrite_low(_product(u.numerator, v.numerator, f.numerator), case)
+    den = _rewrite_low(_product(u.denominator, v.denominator, f.denominator), case)
+    if num.is_zero():
+        return BivarPoly.zero()
+    if den.degree() == 0:
+        res = num * (1.0 / den.coeffs[(0, 0)])
+        return res if res.degree() <= 2 * k else None
+    mons = low_monomials(case, 2 * k)
+    cols = [_rewrite_low(BivarPoly.monomial(i, j) * den, case) for i, j in mons]
+    idx = {m: r for r, m in enumerate(sorted(set(num.coeffs).union(*(c.coeffs for c in cols))))}
+    A = np.zeros((len(idx), len(cols)))
+    for c_i, c in enumerate(cols):
+        for m, val in c.coeffs.items():
+            A[idx[m], c_i] = val
+    b = np.zeros(len(idx))
+    for m, val in num.coeffs.items():
+        b[idx[m]] = val
+    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+    if np.linalg.norm(A @ sol - b) > 1e-8 * max(1.0, np.linalg.norm(b)):
+        return None
+    p = BivarPoly(dict(zip(mons, sol)))
+    return p.chop(1e-11 * max(1.0, p.max_abs_coeff()))
+
+
+def clear_tables():
+    """Empty the symbolic tables that compiled forms and products read."""
+    from tmp3 import bases, moment, poly
+
+    for fn in (moment._form, moment._shifted, poly._normal, poly._quotient, poly._divide,
+               poly._division_matrix, bases._basis_Bk, bases._combined_lift_cached):
+        fn.cache_clear()

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import CASE_PARAMS
+from conftest import CASE_PARAMS, clear_tables
 from tmp3 import make_case
 from tmp3.bases import KTooSmall, basis_Bk, basis_Rk1, basis_Vk, combined_lift
 from tmp3.curves import NotApplicable, sample_points
-from tmp3.poly import PoleError
+from tmp3.moment import _form
+from tmp3.poly import BasisElement, PoleError
 
 
 def _gram_rank(case, elements, n_pts, seed=13):
@@ -155,3 +158,28 @@ class TestCombinedLift:
                     for i, cc in enumerate(num.coeffs):
                         N[r, i] = cc
                 assert np.linalg.cond(N) < 1e6
+
+
+def test_bk_built_once_per_case_and_k(monkeypatch):
+    """The Bk, Vk and lift forms of P4 at k = 3 build B_k once: basis_Vk and the
+    lift read the cached basis, and every unit monomial is one shared element."""
+    from tmp3 import curves
+
+    record = curves._CATALOG["P4"]
+    calls = []
+
+    def bk(case, k):
+        calls.append(k)
+        return record.bk(case, k)
+
+    monkeypatch.setitem(curves._CATALOG, "P4", dataclasses.replace(record, bk=bk))
+    clear_tables()
+    try:
+        case = make_case("P4")
+        for which in ("Bk", "Vk", "lift"):
+            _form(case, 3, which)
+        assert calls == [3]
+        assert basis_Vk(case, 3).elements[1:] == basis_Bk(case, 3).elements[1:]
+        assert BasisElement.monomial(2, 1) is BasisElement.monomial(2, 1)
+    finally:
+        clear_tables()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import bench_corpus
+from conftest import bench_corpus, clear_tables
 from tmp3 import make_case
 from tmp3.bases import basis_Bk, basis_Rk1, basis_Vk
 from tmp3.certify import (
@@ -308,17 +308,17 @@ def test_sampled_residual_matches_reference(label, monkeypatch):
 
 def test_caches_do_not_change_bits():
     """Certificate residuals and rational products, cold, warm, and after the
-    per-form samples, the power tables, the sample points, the division
-    columns and the product table are cleared."""
-    from tmp3 import certify, moment, poly
+    per-form samples, the power tables, the sample points and the symbolic
+    tables (normal forms, quotients, divisions, division matrices, bases and
+    forms) are cleared."""
+    from tmp3 import certify, poly
     from tmp3.moment import _form
 
     def clear():
         certify._form_samples.cache_clear()
         certify._power.cache_clear()
         sample_arrays.cache_clear()
-        poly._division_columns.cache_clear()
-        moment._reduced.cache_clear()
+        clear_tables()
 
     def outputs():
         out = []
@@ -341,7 +341,8 @@ def test_caches_do_not_change_bits():
     cold = outputs()
     assert certify._form_samples.cache_info().currsize > 0
     assert certify._power.cache_info().currsize > 0
-    assert poly._division_columns.cache_info().currsize > 0
+    assert poly._division_matrix.cache_info().currsize > 0
+    assert poly._normal.cache_info().currsize > 0
     warm = outputs()
     clear()
     assert outputs() == cold == warm

@@ -122,6 +122,35 @@ class TestSolve:
         assert code == 3
         assert "negative exponent" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("record,message", [
+        ('{"i": true, "j": 0, "v": 1.0}', "expected a number in JSON payload, got True"),
+        ('{"i": "1", "j": 0, "v": 1.0}', "expected a number in JSON payload, got '1'"),
+        ('{"i": null, "j": 0, "v": 1.0}', "expected a number in JSON payload, got None"),
+        ('{"i": -1, "j": 0, "v": 1.0}', "negative exponent -1 in JSON payload"),
+        ('{"i": 0, "j": 2.5, "v": 1.0}', "expected an integer in JSON payload, got 2.5"),
+        ('{"i": 1e400, "j": 0, "v": 1.0}', "non-finite number in JSON payload"),
+        ('{"i": 0, "j": 0, "v": NaN}', "non-finite number in JSON payload"),
+        ('{"i": 0, "j": 0, "v": Infinity}', "non-finite number in JSON payload"),
+        ('{"i": 0, "j": 0, "v": "1"}', "expected a number in JSON payload, got '1'"),
+        ('{"i": 0, "j": 0, "v": true}', "expected a number in JSON payload, got True"),
+        ('{"i": 0, "j": 0}', "'v'"),
+        ('{"j": 0, "v": 1.0}', "'i'"),
+        ('{"i": 0, "v": 1.0}', "'j'"),
+        ('{"j": 0, "v": "x"}', "expected a number in JSON payload, got 'x'"),
+        ('{"i": 0, "j": 0, "v": "x"}, 42', "each entry of moments must be a JSON object"),
+    ])
+    def test_malformed_moment_record_exit3(self, tmp_path, capsys, record, message):
+        """A malformed record after well-formed ones: the value is read before
+        the exponents, and every record must be an object before any is read."""
+        path, _, _ = _write_problem(tmp_path)
+        data = json.loads(path.read_text())
+        moments = json.dumps(data["moments"])[:-1] + f", {record}]"
+        data["moments"] = "MOMENTS"
+        path.write_text(json.dumps(data).replace('"MOMENTS"', moments))
+        code, out = _run(capsys, "solve", "--input", str(path))
+        assert code == 3
+        assert json.loads(out) == {"error": message}
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_completion_value_exit3(self, tmp_path, capsys, value):
         path, _, _ = _write_problem(tmp_path)

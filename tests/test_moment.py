@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import CASE_PARAMS, CONSTRUCTIVE, P6_VARIANTS, bench_corpus
-from tmp3 import linalg, make_case, moment
+from conftest import (CASE_PARAMS, CONSTRUCTIVE, P6_VARIANTS, bench_corpus, clear_tables,
+                      reference_product)
+from tmp3 import linalg, make_case, moment, poly
 from tmp3.bases import basis_Bk, basis_Rk1, basis_Vk, combined_lift
 from tmp3.curves import chi_flags, sample_points
 from tmp3.measure import Atom, AtomicMeasure, extract, generate, generate_measure, verify
@@ -20,7 +21,7 @@ from tmp3.moment import (
     localizing_matrix,
     moment_matrix,
 )
-from tmp3.poly import BivarPoly, normal_low, product_on_curve
+from tmp3.poly import BivarPoly, normal_low
 
 _M = BivarPoly.monomial
 
@@ -349,7 +350,7 @@ def test_compiled_forms_match_reference(cid, params):
             continue
 
         def on_curve(f):
-            return lambda u, v: product_on_curve(u.rat, v.rat, f, case, k)
+            return lambda u, v: reference_product(u.rat, v.rat, f, case, k)
 
         def times(fac):
             return lambda u, v: normal_low(u.rat.numerator * v.rat.numerator * fac, case)
@@ -392,7 +393,7 @@ def _form_kinds(case):
 
 def _reference_compile(case, k, which):
     """(pair, mon, coef, unknown) of a form by the per-pair walk: the terms of
-    product_on_curve(u, v, f) (Bk, Vk, lift) or of normal_low(u * v * factor)
+    reference_product(u, v, f) (Bk, Vk, lift) or of normal_low(u * v * factor)
     (Q, R), pair by pair and term by term."""
     one = BivarPoly.const(1.0)
     if which[0] in "QR":
@@ -411,7 +412,7 @@ def _reference_compile(case, k, which):
             els, f = combined_lift(case, k).elements, one
 
         def product(u, v):
-            return product_on_curve(u.rat, v.rat, f, case, k)
+            return reference_product(u.rat, v.rat, f, case, k)
     n = len(els)
     pair, mon, coef, unknown = [], [], [], None
     for r in range(n):
@@ -447,13 +448,12 @@ def _same_arrays(got, want):
 def test_compiled_arrays_match_reference(label):
     """Every compiled form of every corpus label at k = 2..6 has the arrays of
     the per-pair walk, bit for bit, compiled from empty tables in ascending k
-    and again in descending k (the product table is shared by every k)."""
+    and again in descending k (the normal-form table is shared by every k)."""
     _, cid, params = next(c for c in bench_corpus().CASES if c[0] == label)
     case = make_case(cid, params)
     ks = [k for k in range(2, 7) if k >= case.k_min]
     for order in (ks, ks[::-1]):
-        _form.cache_clear()
-        moment._reduced.cache_clear()
+        clear_tables()
         got = _compiled(case, order)
         for (k, which), arrays in got.items():
             assert _same_arrays(arrays, _reference_compile(case, k, which)), (k, which)
@@ -461,31 +461,67 @@ def test_compiled_arrays_match_reference(label):
 
 @pytest.mark.parametrize("cid", ["P7", "P4"])
 def test_product_on_curve_only_for_rational_pairs(monkeypatch, cid):
-    """Compiling the forms at k = 3 after k = 2 calls product_on_curve once per
-    pair with a rational element and for no other pair: products of
-    polynomials come from the shared table."""
+    """Compiling every form at k = 3 after k = 2 runs one division (one lstsq)
+    per distinct ordered (u, v, f, k) with a denominator, shared by the forms
+    holding it, and none for a product of polynomials."""
     case = make_case(cid, CASE_PARAMS[cid])
-    _form.cache_clear()
-    moment._reduced.cache_clear()
+    clear_tables()
     _compiled(case, [2])
-    calls = []
-    real = moment.product_on_curve
+    divided, solves = [], []
+    real_divide, real_lstsq = poly._divide, np.linalg.lstsq
 
-    def counting(u, v, f, case, k):
-        calls.append((u, v))
-        return real(u, v, f, case, k)
+    def divide(case, dmax, num, den):
+        divided.append((num, den))
+        return real_divide(case, dmax, num, den)
 
-    monkeypatch.setattr(moment, "product_on_curve", counting)
+    def lstsq(*args, **kwargs):
+        solves.append(args)
+        return real_lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(poly, "_divide", divide)
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
     _compiled(case, [3])
-    rational = 0
+    rational = set()
     for which in _form_kinds(case):
-        els = _form(case, 3, which).elements
-        is_rat = [e.rat.denominator.degree() > 0 for e in els]
-        rational += sum(is_rat[r] or is_rat[s] for r in range(len(els))
-                        for s in range(r, len(els)))
-    assert rational > 0
-    assert len(calls) == rational
-    assert all(u.denominator.degree() > 0 or v.denominator.degree() > 0 for u, v in calls)
+        form = _form(case, 3, which)
+        assert form.f.denominator.degree() == 0
+        facs = [poly._factor(e.rat) for e in form.elements]
+        dens = [e.rat.denominator.degree() > 0 for e in form.elements]
+        rational |= {(facs[r], facs[s], poly._factor(form.f)) for r in range(len(facs))
+                     for s in range(r, len(facs)) if dens[r] or dens[s]}
+    assert rational
+    assert set(divided) == {poly._quotient(case, *key) for key in rational}
+    assert len(solves) == len(rational)
+
+
+def test_tables_shared_across_k(monkeypatch):
+    """Compiling the P7 Vk form at k = 3 after k = 2 rewrites only the products
+    that k = 3 adds, each once, and gives the arrays of a compile from cleared
+    tables."""
+    case = make_case("P7", CASE_PARAMS["P7"])
+    inputs = []
+    real = poly.rewrite
+
+    def rewrite(p, head, rhs):
+        inputs.append(tuple(p.coeffs.items()))
+        return real(p, head, rhs)
+
+    monkeypatch.setattr(poly, "rewrite", rewrite)
+
+    def compile_vk(k):
+        del inputs[:]
+        form = _form(case, k, "Vk")
+        return list(inputs), (form.pair, form.mon, form.coef, form.unknown)
+
+    clear_tables()
+    at2, _ = compile_vk(2)
+    after2, warm = compile_vk(3)
+    clear_tables()
+    alone, cold = compile_vk(3)
+    assert len(set(alone)) == len(alone) and len(set(after2)) == len(after2)
+    assert set(after2) == set(alone) - set(at2)
+    assert 0 < len(after2) < len(alone)
+    assert _same_arrays(warm, cold)
 
 
 def test_compiled_arrays_are_read_only():

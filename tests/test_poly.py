@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import CASE_PARAMS, bench_corpus
+from conftest import CASE_PARAMS, bench_corpus, clear_tables, reference_product
 from tmp3 import make_case
 from tmp3.curves import parametrization
 from tmp3.poly import (
@@ -218,8 +218,8 @@ def test_unit_monomial_table_matches_rewrite(label, cid, params):
             assert normal_low(_M(i, d - i), make_case(cid, dict(params))) is got
 
 
-def _rational_products(case, k):
-    """product_on_curve over the pairs of each compiled form with a denominator."""
+def _rational_products(case, k, product=product_on_curve):
+    """product over the pairs of each compiled form with a denominator."""
     from tmp3.moment import _form
 
     out = []
@@ -229,28 +229,26 @@ def _rational_products(case, k):
         for u in form.elements:
             for v in form.elements:
                 if u.rat.denominator.degree() > 0 or v.rat.denominator.degree() > 0:
-                    p = product_on_curve(u.rat, v.rat, form.f, case, k)
+                    p = product(u.rat, v.rat, form.f, case, k)
                     out.append(None if p is None else list(p.coeffs.items()))
     return out
 
 
 def test_division_columns_survive_cache_clear():
-    """_divide_on_curve gives the same terms, in the same order, with its
-    columns and the monomial table filled, cleared, and filled again."""
+    """The division on arrays gives the terms of the reference division, in
+    the same order, with the normal-form table, the division matrices and
+    the rational entries filled, cleared, and filled again."""
     from tmp3 import poly
-
-    def clear():
-        poly._division_columns.cache_clear()
-        poly._unit_normal_low.cache_clear()
 
     for cid in ("P1", "P3", "P7", "P8"):
         case = make_case(cid, CASE_PARAMS[cid])
-        clear()
+        clear_tables()
         cold = _rational_products(case, 3)
-        assert poly._division_columns.cache_info().currsize > 0
+        assert poly._division_matrix.cache_info().currsize > 0
         warm = _rational_products(case, 3)
-        clear()
+        clear_tables()
         assert _rational_products(case, 3) == cold == warm
+        assert _rational_products(case, 3, reference_product) == cold
         assert any(p is not None for p in cold)
 
 

@@ -45,3 +45,24 @@ def test_outputs_digest_cert_kinds(digest, label, form):
     (valid, shifted) = digest.cert_line(rec)["residuals"]
     assert valid[2] and not shifted[2]
     assert float.fromhex(valid[0]) <= 1e-7 < float.fromhex(shifted[0])
+
+
+COLD = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cold_tables.py"
+
+
+def test_cold_tables_one_label(tmp_path):
+    """``tools/cold_tables.py`` on the P3 instances: the forms the solves ask for,
+    built again from cleared caches, with every count taken and the case
+    records restored afterwards."""
+    spec = importlib.util.spec_from_file_location("cold_tables", COLD)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    keys = [key for key in tool.corpus.corpus_keys() if key[0] == "P3"]
+    forms = tool.solved_forms(tool.problem_files(tmp_path, keys))
+    assert [(k, which) for _, k, which in forms[:3]] == [(2, "Bk"), (2, "Vk"), (2, "lift")]
+    assert [k for _, k, _ in forms] == sorted(k for _, k, _ in forms)
+    record = tool.curves._CATALOG["P3"]
+    total, stats, bk_calls = tool.cold_build(forms)
+    assert tool.curves._CATALOG["P3"] is record
+    assert total > 0 and stats["lstsq"][0] > 0 and stats["rewrite"][0] > 0
+    assert sorted(k for _, k in bk_calls) == [k for *_, k in keys]  # once per (case, k)
