@@ -133,25 +133,17 @@ _EXACT = 2**53  # every int below it is exactly a float, as _exponent reads it
 def _moments(records):
     """beta from the moment records {"i", "j", "v"}.
 
-    One pass takes records whose exponents are ints in [0, 2^53) and whose
-    value is a finite float; at the first other record the checked reading
-    starts over from the beginning, so every error message and exit code is
-    the checked reading's (its value is read before its exponents)."""
-    beta = {}
-    if type(records) is list:
-        for rec in records:
-            if type(rec) is not dict:
-                break
-            i, j, v = rec.get("i"), rec.get("j"), rec.get("v")
-            if not (type(i) is int and type(j) is int and type(v) is float
-                    and 0 <= i < _EXACT and 0 <= j < _EXACT and math.isfinite(v)):
-                break
-            beta[i, j] = v
-        else:
-            return beta
+    A record whose exponents are ints in [0, 2^53) and whose value is a
+    finite float is taken as it is; any other goes through the checks, value
+    first, which accept every such record with the same value."""
     beta = {}
     for rec in _records(records, "moments"):
-        beta[(_exponent(rec["i"]), _exponent(rec["j"]))] = _finite(rec["v"])
+        i, j, v = rec.get("i"), rec.get("j"), rec.get("v")
+        if not (type(i) is int and type(j) is int and type(v) is float
+                and 0 <= i < _EXACT and 0 <= j < _EXACT and math.isfinite(v)):
+            v = _finite(rec["v"])
+            i, j = _exponent(rec["i"]), _exponent(rec["j"])
+        beta[i, j] = v
     return beta
 
 

@@ -1196,6 +1196,7 @@ def _normalize_yx3(c):
 
 
 def _normalize_reducible(p: BivarPoly):
+    """(case, map) of a cubic y * q; normalize verifies the map."""
     # strip one factor of y
     q = BivarPoly({(i, j - 1): v for (i, j), v in p.coeffs.items()})
     qs = dict(q.coeffs)
@@ -1216,24 +1217,16 @@ def _normalize_reducible(p: BivarPoly):
         ra = (-c1 + math.sqrt(disc)) / 2.0
         rb = (-c1 - math.sqrt(disc)) / 2.0
         a_, b_ = -ra, -rb
-        case = make_case("P26", {"a": a_, "b": b_})
-        amap = AffineMap()
-        _verify_map(case, amap, p)
-        return case, amap
+        return make_case("P26", {"a": a_, "b": b_}), AffineMap()
     for cid in ("P17", "P18", "P21", "P27", "P28"):
         case = make_case(cid, {})
         if _match_up_to_scale(p, case.defining_poly()):
-            amap = AffineMap()
-            _verify_map(case, amap, p)
-            return case, amap
+            return case, AffineMap()
     if abs(g(1, 0)) < 1e-12 * lead and abs(g(1, 1)) < 1e-12 * lead and abs(g(2, 0)) > 0:
         return _normalize_mixed(p, g(0, 0), g(0, 1), g(2, 0), g(0, 2), lead)
     # y(1 - x^2)-type three lines map onto yx(y+1) by an explicit alt
     if _match_up_to_scale(p, BivarPoly({(0, 1): 1.0, (2, 1): -1.0})):
-        case = make_case("P28", {})
-        amap = AffineMap(a=0.0, b=1.0, c=0.0, d=0.5, e=0.0, f=-0.5)
-        _verify_map(case, amap, p)
-        return case, amap
+        return make_case("P28", {}), AffineMap(a=0.0, b=1.0, c=0.0, d=0.5, e=0.0, f=-0.5)
     raise Unsupported("reducible cubic outside the recognized shapes")
 
 

@@ -157,6 +157,7 @@ class Completion:
     principal submatrix of every completion, so by Cauchy interlacing
     lambda_min(M(v)) <= lambda_min(D) for all v: when D is not numerically
     pd, the pd interval is empty and no pseudo-inverse is taken for it.
+    Each record decomposes its own D, also when another record's D is equal.
     """
 
     D: np.ndarray
@@ -166,12 +167,11 @@ class Completion:
     scale: float  # max(1, |M|) over the known entries
     lmin: float  # smallest eigenvalue of D (inf when D is empty)
     tol: Tolerances
-    same_d: Completion | None = None  # the decomposition of an equal D, read instead
 
     @cached_property
     def pinv(self):
-        """D^+ with cutoff 1e-10, shared with ``same_d``."""
-        return pinv_cutoff(self.D) if self.same_d is None else self.same_d.pinv
+        """D^+ with cutoff 1e-10."""
+        return pinv_cutoff(self.D)
 
     @property
     def margin(self):
@@ -211,23 +211,16 @@ class Completion:
         return Interval(c0 - r, c0 + r, closed=closed, empty=False)
 
 
-def completion_interval(form: SymmetricForm, tol=None, like=None) -> Completion:
+def completion_interval(form: SymmetricForm, tol=None) -> Completion:
     """The decomposition behind all values of the unknown pair of ``form`` that
-    make the matrix psd (``.psd``) or pd (``.pd``): one eigvalsh of D.
-
-    ``like`` is a Completion whose block D may equal this one's; when the two
-    arrays are equal, its smallest eigenvalue and pseudo-inverse are reused.
-    """
+    make the matrix psd (``.psd``) or pd (``.pd``): one eigvalsh of D."""
     if form.unknown is None:
         raise ValueError("form has no unknown entry")
     p, q = form.unknown
     rest = [i for i in range(form.size) if i not in (p, q)]
     M = form.entries
     D = M[np.ix_(rest, rest)]
-    if like is not None and np.array_equal(D, like.D):
-        lmin = like.lmin
-    else:
-        like, w = None, np.linalg.eigvalsh(D)
-        lmin = w[0] if w.size else math.inf
+    w = np.linalg.eigvalsh(D)
     return Completion(D, M[p, rest], M[q, rest], (M[p, p], M[q, q]),
-                      max(1.0, _norm(np.nan_to_num(M))), lmin, tol or DEFAULT_TOL, like)
+                      max(1.0, _norm(np.nan_to_num(M))), w[0] if w.size else math.inf,
+                      tol or DEFAULT_TOL)

@@ -26,7 +26,7 @@ from .bases import basis_Bk, basis_Rk1, basis_Vk, combined_lift
 from .curves import CurveCase, chi_flags
 from .linalg import Interval, SymmetricForm, Tolerances
 from .poly import (_UNIT, BasisElement, BivarPoly, RationalElem, UnivarPoly, _entry, _factor,
-                   _mon_index, _normal, normal_low, product_on_curve)
+                   _exps, _mon_index, _shifted, normal_low, product_on_curve)
 
 _M = BivarPoly.monomial
 
@@ -232,30 +232,25 @@ def _assemble(case, k, els, f):
     """(pair, mon, coef, undetermined pairs) of f * u_r * u_s over els, r <= s.
 
     Every entry is read from the symbolic tables.  With a polynomial f, a
-    pair of unit monomials x^a y^b, x^c y^d is read from _shifted at the
-    exponent sum (a + c, b + d), the table entry of f's terms shifted by it
-    (their exact product), so each distinct sum costs one lookup; every other
-    pair goes through poly._entry.  The arrays are the entries' terms joined
-    in (r, s) order, read-only; an undetermined pair has no terms.
+    pair of unit monomials x^a y^b, x^c y^d is poly._shifted of f's terms at
+    the exponent sum (a + c, b + d), so each distinct sum costs one rewrite
+    per case and multiplier; every other pair goes through poly._entry.  The
+    arrays are the entries' terms joined in (r, s) order, read-only; an
+    undetermined pair has no terms.
     """
     n = len(els)
     fac = _factor(f)
     facs = [_factor(e.rat) for e in els]
-    exps = [e.exps for e in els]
-    shifted = _shifted(case, fac[0]) if fac[1] == _UNIT else None
+    exps = [e.exps for e in els] if fac[1] == _UNIT else [None] * n
     pairs, mons, coefs, unknown = [], [], [], []
     for r in range(n):
         a = exps[r]
         for s in range(r, n):
             b = exps[s]
-            if shifted is None or a is None or b is None:
+            if a is None or b is None:
                 e = _entry(case, k, facs[r], facs[s], fac)
             else:
-                m = (a[0] + b[0], a[1] + b[1])
-                e = shifted.get(m)
-                if e is None:
-                    e = shifted[m] = _normal(case, tuple(((m[0] + i, m[1] + j), c)
-                                                         for (i, j), c in fac[0]))
+                e = _shifted(case, fac[0], (a[0] + b[0], a[1] + b[1]))
                 if e[2] > 2 * k:
                     e = None
             if e is None:
@@ -270,15 +265,6 @@ def _assemble(case, k, els, f):
     pair = np.repeat(np.array(pairs, dtype=np.intp), [len(m) // mon.itemsize for m in mons])
     pair.flags.writeable = False
     return pair, mon, coef, unknown
-
-
-@lru_cache(maxsize=512)
-def _shifted(case, f_terms):
-    """{(a, b): the table entry (poly._normal) of x^a y^b * f}, f given by its
-    terms: x^a y^b * f is f's terms shifted by (a, b), in f's order, exactly.
-    Filled as the forms read it, and shared by every k and every form with
-    this multiplier."""
-    return {}
 
 
 def _v2_quotient_elements(case, k):
@@ -298,15 +284,17 @@ def _v2_quotient_elements(case, k):
 @lru_cache(maxsize=512)
 def _ideal_rows(case: CurveCase, k: int):
     """The rows L(x^a y^b * P), a + b <= 2k - 3, compiled like a form: row
-    (a, b) holds P's terms in P's order, shifted by (a, b)."""
+    (a, b), in graded order, holds P's terms in P's order, shifted by (a, b)."""
     P = case.defining_poly().coeffs
-    exps = [(a, d - a) for d in range(2 * k - 2) for a in range(d + 1)]
-    row = np.repeat(np.arange(len(exps), dtype=np.intp), len(P))
-    mon = np.array([_mon_index(a + i, b + j) for a, b in exps for i, j in P], dtype=np.intp)
-    coef = np.tile(np.array(list(P.values()), dtype=float), len(exps))
-    for a in (row, mon, coef):
-        a.flags.writeable = False
-    return row, mon, coef, len(exps)
+    n = (k - 1) * (2 * k - 1)  # the monomials of degree <= 2k - 3
+    a, b = _exps(np.arange(n, dtype=np.intp))
+    pi, pj = np.array(list(P), dtype=np.intp).T
+    row = np.repeat(np.arange(n, dtype=np.intp), len(P))
+    mon = _mon_index((a[:, None] + pi).ravel(), (b[:, None] + pj).ravel())
+    coef = np.tile(np.array(list(P.values()), dtype=float), n)
+    for arr in (row, mon, coef):
+        arr.flags.writeable = False
+    return row, mon, coef, n
 
 
 def check_ideal_vanishing(L: MomentSequence) -> float:
@@ -399,22 +387,18 @@ class _Lift:
 
     The singular branches, the root check, the constructive fallback and
     extraction all read this record (a passing Decision carries it to
-    extract); a point-mass shift of P5 is another functional with its own
-    record, which reuses its parent's decomposition when the two blocks D are
-    equal.
+    extract); a point-mass shift of P5 is another functional, whose record
+    decomposes its own D.
     """
 
-    def __init__(self, L: MomentSequence, tol: Tolerances = linalg.DEFAULT_TOL,
-                 parent: _Lift | None = None):
+    def __init__(self, L: MomentSequence, tol: Tolerances = linalg.DEFAULT_TOL):
         self.L = L
         self.tol = tol
-        self.parent = parent
         self.form = lift_matrix(L)
 
     @cached_property
     def completion(self) -> linalg.Completion:
-        like = None if self.parent is None else self.parent.completion
-        return linalg.completion_interval(self.form, self.tol, like)
+        return linalg.completion_interval(self.form, self.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +618,7 @@ def _root_avoidance(lift, rd):
 def _p5_shift(lift, lam):
     """The lift of L - lam * (evaluation at the isolated point (0,0)); at lam = 0
     that functional is L, whose lift is ``lift`` itself."""
-    return _Lift(lift.L.perturbed({(0, 0): -lam}), lift.tol, lift) if lam else lift
+    return _Lift(lift.L.perturbed({(0, 0): -lam}), lift.tol) if lam else lift
 
 
 def _p5_no_origin_singular(lift, checks, tol, tag=""):

@@ -6,6 +6,9 @@ through single-head rewriting modulo the defining cubic: every canonical
 case carries one distinguished monomial (the rewrite head) whose
 substitution rule never increases total degree, so the normal form is
 also a minimal-degree representative.
+
+Each case has one table of normal forms (_normal), keyed by the terms of the
+exact product, and one index of it per shifted polynomial (_shifted).
 """
 
 from __future__ import annotations
@@ -343,14 +346,13 @@ def reduce_on_curve(p: BivarPoly, case) -> BivarPoly:
 def normal_low(p: BivarPoly, case) -> BivarPoly:
     """Degree-minimal normal form, used when expressing functions in moments.
 
-    A single monomial with coefficient exactly 1 is answered from a per-case
-    table filled by the same rewrite, so repeated calls return one shared
-    object: no caller may change the ``coeffs`` of a result in place.
+    A single monomial with coefficient exactly 1 is decoded from the case's
+    table (_shifted of the constant 1), so every call returns a fresh polynomial.
     """
     if len(p.coeffs) == 1:
         (m, v), = p.coeffs.items()
         if v == 1.0:
-            return _unit_normal_low(case, m)
+            return _decode(_shifted(case, _UNIT, m))
     return _rewrite_low(p, case)
 
 
@@ -358,12 +360,6 @@ def _rewrite_low(p, case):
     head, rhs = case.low_rewrite_rule()
     q = rewrite(p, head, rhs)
     return q.chop(_COEFF_EPS * max(1.0, q.max_abs_coeff()))
-
-
-@lru_cache(maxsize=8192)
-def _unit_normal_low(case, m):
-    """normal_low of the monomial m = (i, j) with coefficient 1."""
-    return _rewrite_low(BivarPoly({m: 1.0}), case)
 
 
 def low_monomials(case, max_deg):
@@ -387,10 +383,7 @@ def product_on_curve(u, v, f, case, k):
     undetermined ("?") entries of the partial moment matrices.
     """
     e = _entry(case, k, _factor(u), _factor(v), _factor(f))
-    if e is None:
-        return None
-    i, j = _exps(np.frombuffer(e[0], dtype=np.intp))
-    return _poly(zip(zip(i.tolist(), j.tolist()), np.frombuffer(e[1]).tolist()))
+    return None if e is None else _decode(e)
 
 
 _ONE = {(0, 0): 1.0}
@@ -412,6 +405,12 @@ def _poly(terms):
     p = BivarPoly()
     p.coeffs = dict(terms)
     return p
+
+
+def _decode(e):
+    """A fresh polynomial with the terms of a table entry, in the entry's order."""
+    i, j = _exps(np.frombuffer(e[0], dtype=np.intp))
+    return _poly(zip(zip(i.tolist(), j.tolist()), np.frombuffer(e[1]).tolist()))
 
 
 def _factor(e):
@@ -494,13 +493,32 @@ def _normal(case, terms):
     """(*_terms, degree) of normal_low of the polynomial with these terms, in
     this order: the one table of reduced polynomials of a case.
 
-    Products of polynomials, the numerators and denominators of quotients and
-    the division columns are all read from it, keyed by the terms of the
-    exact product, so every k and every form shares an entry.  The rewrite is
-    normal_low's, but it does not fill normal_low's table of unit monomials.
+    Products of polynomials, the numerators and denominators of quotients,
+    the division columns and normal_low of a unit monomial are all read from
+    it, keyed by the terms of the exact product, so every k and every form
+    shares an entry.
     """
     q = _rewrite_low(_poly(terms), case)
     return (*_terms(q), q.degree())
+
+
+def _shifted(case, terms, m):
+    """The table entry (_normal) of x^a y^b times the polynomial with these
+    terms, m = (a, b): the terms shifted by m, in their order, exactly.  Read
+    by the forms (f at an exponent sum), the division columns (den at (i, j))
+    and normal_low (the constant 1 at (i, j))."""
+    index = _shift_index(case, terms)
+    e = index.get(m)
+    if e is None:
+        a, b = m
+        e = index[m] = _normal(case, tuple(((a + i, b + j), c) for (i, j), c in terms))
+    return e
+
+
+@lru_cache(maxsize=512)
+def _shift_index(case, terms):
+    """{m: _shifted(case, terms, m)}, filled as _shifted reads it."""
+    return {}
 
 
 @lru_cache(maxsize=4096)
@@ -536,12 +554,10 @@ def _division_matrix(case, den, dmax):
     graded indices of mons = low_monomials(case, dmax), those of the support
     of the columns normal_low(x^i y^j * den) over mons in sorted (i, j) order,
     their row map (_rows), and the dense read-only matrix the columns form
-    over those rows.  x^i y^j * den has den's terms shifted by (i, j), in
-    den's order, so each column is a table entry."""
+    over those rows.  Each column is den's terms shifted by (i, j) (_shifted)."""
     mons = low_monomials(case, dmax)
-    di, dj = _exps(np.frombuffer(den[0], dtype=np.intp))
-    shift = list(zip(di.tolist(), dj.tolist(), np.frombuffer(den[1]).tolist()))
-    cols = [_normal(case, tuple(((i + a, j + b), c) for a, b, c in shift)) for i, j in mons]
+    terms = tuple(_decode(den).coeffs.items())
+    cols = [_shifted(case, terms, m) for m in mons]
     mon = np.frombuffer(b"".join(c[0] for c in cols), dtype=np.intp)
     rows, where = _rows(mon)
     col = np.repeat(np.arange(len(cols)), [len(c[0]) // mon.itemsize for c in cols])

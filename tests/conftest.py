@@ -122,6 +122,6 @@ def clear_tables():
     """Empty the symbolic tables that compiled forms and products read."""
     from tmp3 import bases, moment, poly
 
-    for fn in (moment._form, moment._shifted, poly._normal, poly._quotient, poly._divide,
+    for fn in (moment._form, poly._shift_index, poly._normal, poly._quotient, poly._divide,
                poly._division_matrix, bases._basis_Bk, bases._combined_lift_cached):
         fn.cache_clear()

@@ -151,6 +151,23 @@ class TestSolve:
         assert code == 3
         assert json.loads(out) == {"error": message}
 
+    def test_checked_moment_records_read_like_fast_ones(self):
+        """A record outside the fast test (int value, float exponents) goes
+        through the checks and gives the value the fast reading would."""
+        from tmp3.cli import _moments
+
+        fast = [{"i": 0, "j": 0, "v": 1.0}, {"i": 1, "j": 2, "v": -0.5},
+                {"i": 2**53 - 1, "j": 0, "v": 2.5e-300}]
+        checked = [{"i": 0.0, "j": 0, "v": 1}, {"i": 1, "j": 2.0, "v": -0.5},
+                   {"i": 2**53 - 1, "j": 0.0, "v": 2.5e-300}]
+        want = _moments(fast)
+        assert want == {(0, 0): 1.0, (1, 2): -0.5, (2**53 - 1, 0): 2.5e-300}
+        for records in (checked, [checked[0], *fast[1:]], [*fast[:2], checked[2]]):
+            got = _moments(records)
+            assert got == want
+            assert all(type(v) is float for v in got.values())
+            assert all(type(i) is int and type(j) is int for i, j in got)
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_completion_value_exit3(self, tmp_path, capsys, value):
         path, _, _ = _write_problem(tmp_path)

@@ -194,6 +194,17 @@ class TestSamplePoints:
         assert comps == [0, 1, 2]
 
 
+#: inputs of normalize with the canonical case each maps to
+FAMILIES = [
+    (_M(0, 2) - _M(3, 0, 4.0) + _M(2, 0, 4.0), "P5"),   # y^2 = 4x^2(x-1)
+    (_M(0, 2) - _M(3, 0, 4.0) + _M(2, 0, 16.0) - _M(1, 0, 16.0), "P4"),
+    (_M(1, 1) - _M(3, 0, 2.0) - _C(3.0), "P12"),
+    (_M(0, 1) - _M(3, 0, 8.0) - _M(2, 0, 2.0), "P13"),
+    (_M(0, 1) * (_C(1.0) + _M(0, 1, 2.0) + _M(2, 0, 3.0)), "P19"),
+    (_M(0, 1) * (_M(0, 1, 2.0) + _M(2, 0, 0.5) + _M(0, 2, 0.5)), "P14"),
+]
+
+
 class TestNormalize:
     def test_already_canonical_weierstrass(self):
         p = _M(0, 2) - _M(1, 0) * (_M(1, 0) - _C(1.0)) * (_M(1, 0) - _C(3.0))
@@ -213,18 +224,56 @@ class TestNormalize:
         assert case.id == "P10"
         _check_pushforward(p, case, amap)
 
-    @pytest.mark.parametrize("poly,expect", [
-        (_M(0, 2) - _M(3, 0, 4.0) + _M(2, 0, 4.0), "P5"),   # y^2 = 4x^2(x-1)
-        (_M(0, 2) - _M(3, 0, 4.0) + _M(2, 0, 16.0) - _M(1, 0, 16.0), "P4"),
-        (_M(1, 1) - _M(3, 0, 2.0) - _C(3.0), "P12"),
-        (_M(0, 1) - _M(3, 0, 8.0) - _M(2, 0, 2.0), "P13"),
-        (_M(0, 1) * (_C(1.0) + _M(0, 1, 2.0) + _M(2, 0, 3.0)), "P19"),
-        (_M(0, 1) * (_M(0, 1, 2.0) + _M(2, 0, 0.5) + _M(0, 2, 0.5)), "P14"),
-    ])
+    @pytest.mark.parametrize("poly,expect", FAMILIES)
     def test_families(self, poly, expect):
         case, amap = normalize(poly)
         assert case.id == expect
         _check_pushforward(poly, case, amap)
+
+    def test_reducible_map_verified_once(self, monkeypatch):
+        """normalize verifies a P26 or catalog (P27) map once, and every input
+        of this class ends as it did when the reducible branches also verified
+        their own map: same case, map and exception."""
+        from tmp3 import curves
+
+        real_verify, real_reducible = curves._verify_map, curves._normalize_reducible
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].id)
+            return real_verify(*args, **kwargs)
+
+        def verifying_reducible(p):  # the branches' own check, before each return
+            case, amap = real_reducible(p)
+            real_verify(case, amap, p)
+            return case, amap
+
+        def outcome(p):
+            try:
+                case, amap = normalize(p)
+            except Exception as exc:  # compared below, not swallowed
+                return type(exc), str(exc)
+            return case.id, dict(case.params), amap
+
+        monkeypatch.setattr(curves, "_verify_map", counting)
+        for p, cid in [(_M(0, 1) * (_M(0, 1) + _C(1.0)) * (_M(0, 1) + _C(2.0)), "P26"),
+                       (_M(2, 1, 2.0) - _M(0, 3, 2.0), "P27")]:
+            calls.clear()
+            assert normalize(p)[0].id == cid and calls == [cid]
+
+        inputs = [p for p, _ in FAMILIES] + [
+            _M(0, 2) - _M(1, 0) * (_M(1, 0) - _C(1.0)) * (_M(1, 0) - _C(3.0)),
+            _M(3, 0) + _M(0, 3) - _C(1.0),
+            _M(1, 2) + _M(0, 1) - _M(3, 0, 4.0) - _C(2.0),
+            _M(0, 1) * (_M(0, 1) + _C(1.0)) * (_M(0, 1) + _C(2.0)),
+            _M(2, 1) - _M(0, 3),
+            _M(0, 1) * (_M(0, 2) + _C(1.0)),  # complex parallel lines
+            _M(0, 1) * (_M(0, 1) + _M(1, 0)) * _M(1, 0) + _M(1, 1, 0.3),  # no shape
+        ]
+        got = [outcome(p) for p in inputs]
+        monkeypatch.setattr(curves, "_normalize_reducible", verifying_reducible)
+        assert [outcome(p) for p in inputs] == got
+        assert sum(isinstance(o[0], type) for o in got) == 3
 
 
 def _check_pushforward(p, case, amap, n=100):

@@ -439,6 +439,23 @@ def _compiled(case, ks):
     return out
 
 
+@pytest.mark.parametrize("label", [c[0] for c in bench_corpus().CASES])
+def test_ideal_rows_match_comprehension(label):
+    """The graded indices of the ideal rows, computed on exponent arrays, are
+    the per-term _mon_index of x^a y^b * P in row order, P's terms in P's
+    order, at every k = 2..6 of every corpus label."""
+    _, cid, params = next(c for c in bench_corpus().CASES if c[0] == label)
+    case = make_case(cid, params)
+    P = case.defining_poly().coeffs
+    for k in range(max(2, case.k_min), 7):
+        exps = [(a, d - a) for d in range(2 * k - 2) for a in range(d + 1)]
+        want = [poly._mon_index(a + i, b + j) for a, b in exps for i, j in P]
+        row, mon, coef, n = moment._ideal_rows(case, k)
+        assert mon.dtype == np.intp and mon.tolist() == want and n == len(exps)
+        assert row.tolist() == [r for r in range(n) for _ in P]
+        assert coef.tolist() == list(P.values()) * n
+
+
 def _same_arrays(got, want):
     return got[3] == want[3] and all(
         np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got[:3], want[:3]))
@@ -602,21 +619,26 @@ def _block_d(PM):
 def test_lift_assembled_once_per_functional(monkeypatch, cid, params, k, n, seed, w0,
                                             verdict, branch):
     """decide followed by extract assembles the lifted matrix of each functional
-    (L, or a point-mass shift of it on P5) once, and decomposes each distinct
-    block D once: one eigvalsh and at most one pseudo-inverse, also when a
-    shift and its parent share an equal D."""
+    (L, or a point-mass shift of it on P5) once, and each lift record
+    decomposes its own block D at most once: one eigvalsh and at most one
+    pseudo-inverse per record, also when a shift holds an equal D."""
     case = make_case(cid, params)
     mu = generate_measure(case, n, k, seed=seed)
     if w0:
         mu = AtomicMeasure(mu.atoms + (Atom(0.0, 0.0, w0),))
     L = MomentSequence(case, k, mu.moments(k))
-    assembled, forms, eigs, pinvs = [], [], [], []
+    assembled, forms, decomposed, eigs, pinvs = [], [], [], [], []
     real_lift, real_eig, real_pinv = moment.lift_matrix, np.linalg.eigvalsh, linalg.pinv_cutoff
+    real_completion = linalg.completion_interval
 
     def counting_lift(L):
         assembled.append(tuple(sorted(L.beta.items())))
         forms.append(real_lift(L))
         return forms[-1]
+
+    def counting_completion(form, *args, **kwargs):
+        decomposed.append(form)
+        return real_completion(form, *args, **kwargs)
 
     def counting_eig(M, *args, **kwargs):
         eigs.append(np.array(M))
@@ -627,6 +649,7 @@ def test_lift_assembled_once_per_functional(monkeypatch, cid, params, k, n, seed
         return real_pinv(M, *args, **kwargs)
 
     monkeypatch.setattr(moment, "lift_matrix", counting_lift)
+    monkeypatch.setattr(linalg, "completion_interval", counting_completion)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eig)
     monkeypatch.setattr(linalg, "pinv_cutoff", counting_pinv)
     dec = decide(L)
@@ -635,15 +658,19 @@ def test_lift_assembled_once_per_functional(monkeypatch, cid, params, k, n, seed
         extract(L, decision=dec)
         assert any(PM is dec.lift.form for PM in forms)
     assert assembled and len(set(assembled)) == len(assembled)
-    # a P5 shift changes no entry of D, so records may hold equal D arrays:
-    # the shifted record reads its parent's decomposition
+    # every decomposition is of a lift record's form, and each record's at most once
+    assert all(any(PM is F for F in forms) for PM in decomposed)
+    assert all(sum(PM is F for F in decomposed) <= 1 for PM in forms)
+    if dec.passed():
+        assert any(PM is dec.lift.form for PM in decomposed)
+    # records that hold equal D arrays (a P5 shift changes no entry of D)
+    # decompose them once each: one eigvalsh, at most one pseudo-inverse
     for PM in forms:
         D = _block_d(PM)
+        same = sum(np.array_equal(_block_d(F), D) for F in decomposed)
         n_eig = sum(M.shape == D.shape and np.array_equal(M, D) for M in eigs)
         n_pinv = sum(M.shape == D.shape and np.array_equal(M, D) for M in pinvs)
-        assert n_eig <= 1 and n_pinv <= n_eig
-        if dec.passed() and PM is dec.lift.form:
-            assert n_eig == 1
+        assert n_eig == same and n_pinv <= n_eig
     if branch in ("lambda0:rank_B", "origin_split"):
         assert len(forms) == 2 and np.array_equal(_block_d(forms[0]), _block_d(forms[1]))
 

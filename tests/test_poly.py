@@ -206,16 +206,21 @@ BENCH_CASES = bench_corpus().CASES
 @pytest.mark.parametrize("label,cid,params", BENCH_CASES, ids=[c[0] for c in BENCH_CASES])
 def test_unit_monomial_table_matches_rewrite(label, cid, params):
     """normal_low of x^i y^j (i + j <= 15) from the table equals the uncached
-    rewrite term by term, in order, and repeated calls share one object."""
+    rewrite term by term, in order, and each call returns a fresh polynomial:
+    changing the ``coeffs`` of one result leaves the next result unchanged."""
     from tmp3.poly import _rewrite_low
 
     case = make_case(cid, params)
     for d in range(16):
         for i in range(d + 1):
             mono = _M(i, d - i)
+            want = list(_rewrite_low(mono, case).coeffs.items())
             got = normal_low(mono, case)
-            assert list(got.coeffs.items()) == list(_rewrite_low(mono, case).coeffs.items())
-            assert normal_low(_M(i, d - i), make_case(cid, dict(params))) is got
+            assert list(got.coeffs.items()) == want
+            got.coeffs.clear()
+            got.coeffs[(99, 0)] = 1.0
+            again = normal_low(_M(i, d - i), make_case(cid, dict(params)))
+            assert list(again.coeffs.items()) == want
 
 
 def _rational_products(case, k, product=product_on_curve):
@@ -272,9 +277,11 @@ _MUTATORS = {"pop", "popitem", "update", "clear", "setdefault", "__setitem__", "
 
 
 def test_no_module_changes_coeffs_in_place():
-    """normal_low shares its table's objects, so no module in src/tmp3 stores
-    into, deletes from or calls a mutator on a ``.coeffs`` dict, and ``.coeffs``
-    is bound only on a polynomial the same function has just created."""
+    """Cached objects are shared by every caller (``BasisElement.monomial``,
+    the cached bases and the cached reductions of moment), so no module in
+    src/tmp3 stores into, deletes from or calls a mutator on a ``.coeffs``
+    dict, and ``.coeffs`` is bound only on a polynomial the same function has
+    just created."""
     import ast
     import pathlib
 

@@ -2,7 +2,9 @@
 ``Decision``, ``Refutation`` and certificate residuals field by field, so a
 change of their shape must keep it running.  The tool is imported, not run."""
 
+import contextlib
 import importlib.util
+import io
 import pathlib
 
 import pytest
@@ -62,7 +64,19 @@ def test_cold_tables_one_label(tmp_path):
     assert [(k, which) for _, k, which in forms[:3]] == [(2, "Bk"), (2, "Vk"), (2, "lift")]
     assert [k for _, k, _ in forms] == sorted(k for _, k, _ in forms)
     record = tool.curves._CATALOG["P3"]
-    total, stats, bk_calls = tool.cold_build(forms)
+    total, stats, bk_calls, traffic = tool.cold_build(forms)
     assert tool.curves._CATALOG["P3"] is record
     assert total > 0 and stats["lstsq"][0] > 0 and stats["rewrite"][0] > 0
     assert sorted(k for _, k in bk_calls) == [k for *_, k in keys]  # once per (case, k)
+    # the traffic of every table the build read, and of no retired one
+    assert traffic["poly._normal"].misses > 0 and traffic["poly._shift_index"].hits > 0
+    assert traffic["moment._form"].currsize == len(forms)
+    assert not any("_unit_normal_low" in name for name in traffic)
+    assert all(fn.cache_info().currsize == 0 for fn in tool.caches().values())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        tool.print_report(forms, total, stats, bk_calls, traffic)
+    lines = out.getvalue().splitlines()
+    assert sum(line.startswith("cache ") for line in lines) == len(traffic)
+    assert "poly._normal " in out.getvalue() and "poly._shift_index " in out.getvalue()
+    assert "_unit_normal_low" not in out.getvalue()

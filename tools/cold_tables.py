@@ -11,7 +11,9 @@ built again, cold, label-major and k ascending. During that build every
 a case record's ``bk`` hook are counted, and the CPU time of the first two
 is measured; the rest is the build's CPU time outside them. These layers
 run inside the forms' compilation, where the span tracer of
-``bench/spans.py`` does not see them. Only the standard library and numpy
+``bench/spans.py`` does not see them. After the build, one line per
+functools cache of the tmp3 modules gives its size, hits and misses: the
+traffic of each table during the build. Only the standard library and numpy
 are used, and ``bench/corpus.py`` is only imported.
 """
 
@@ -76,8 +78,10 @@ def solved_forms(problems):
     return [(case, k, which) for _, k, _, which, case in sorted(keys)]
 
 
-def clear_caches():
-    """Clear every functools cache of the tmp3 modules, class attributes included."""
+def caches():
+    """{"module.name": cached function} of every functools cache of the tmp3
+    modules, class attributes included, each once under its own module."""
+    out = {}
     for mod in list(sys.modules.values()):
         if not getattr(mod, "__name__", "").startswith("tmp3"):
             continue
@@ -86,7 +90,14 @@ def clear_caches():
             for fn in members:
                 fn = getattr(fn, "__func__", fn)
                 if hasattr(fn, "cache_clear"):
-                    fn.cache_clear()
+                    out[f"{fn.__module__.removeprefix('tmp3.')}.{fn.__qualname__}"] = fn
+    return dict(sorted(out.items()))
+
+
+def clear_caches():
+    """Clear every functools cache of the tmp3 modules."""
+    for fn in caches().values():
+        fn.cache_clear()
 
 
 def timed(stats, fn):
@@ -104,8 +115,8 @@ def timed(stats, fn):
 
 def cold_build(forms):
     """(CPU seconds, {"lstsq": [calls, seconds], "rewrite": [calls, seconds]},
-    the (case, k) of every call of a record's bk hook) of building the forms
-    from cleared caches."""
+    the (case, k) of every call of a record's bk hook, {cache name: its
+    cache_info() after the build}) of building the forms from cleared caches."""
     stats = {"lstsq": [0, 0.0], "rewrite": [0, 0.0]}
     bk_calls = []
     records = dict(curves._CATALOG)
@@ -128,23 +139,31 @@ def cold_build(forms):
         for case, k, which in forms:
             moment._form(case, k, which)
         total = time.process_time() - t0
+        traffic = {name: fn.cache_info() for name, fn in caches().items()}
     finally:
         np.linalg.lstsq, poly.rewrite = lstsq, rewrite
         curves._CATALOG.update(records)
         clear_caches()
-    return total, stats, bk_calls
+    return total, stats, bk_calls, traffic
 
 
-def main():
-    with tempfile.TemporaryDirectory() as tmp:
-        forms = solved_forms(problem_files(tmp, corpus.corpus_keys()))
-    total, stats, bk_calls = cold_build(forms)
+def print_report(forms, total, stats, bk_calls, traffic):
+    """The report of main, from the build's counts (cold_build)."""
     (n_lstsq, t_lstsq), (n_rewrite, t_rewrite) = stats["lstsq"], stats["rewrite"]
     print(f"forms    {len(forms):6d}  built cold, cpu {total:.3f} s")
     print(f"lstsq    {n_lstsq:6d}  calls, cpu {t_lstsq:.3f} s")
     print(f"rewrite  {n_rewrite:6d}  calls, cpu {t_rewrite:.3f} s")
     print(f"rest             cpu {total - t_lstsq - t_rewrite:.3f} s")
     print(f"bk       {len(bk_calls):6d}  calls over {len(set(bk_calls))} (case, k)")
+    for name, info in traffic.items():
+        print(f"cache    {name:36s} size {info.currsize:6d}  hits {info.hits:7d}"
+              f"  misses {info.misses:6d}")
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        forms = solved_forms(problem_files(tmp, corpus.corpus_keys()))
+    print_report(forms, *cold_build(forms))
 
 
 if __name__ == "__main__":
