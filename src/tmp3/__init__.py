@@ -38,12 +38,10 @@ from .measure import (
     AtomicMeasure,
     ExtractionFailed,
     ExtractOptions,
-    NoMeasure,
     NoWitness,
     extract,
     generate,
     generate_measure,
-    solve_hankel_R,
     verify,
     witness,
 )
@@ -54,7 +52,6 @@ from .moment import (
     MomentSequence,
     check_ideal_vanishing,
     decide,
-    generating_polynomial,
     lift_matrix,
     localizing_matrices_v2,
     localizing_matrix,

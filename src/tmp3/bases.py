@@ -84,9 +84,9 @@ def basis_Rk1(case: CurveCase, k: int) -> Basis:
 class UnivariateLift:
     """Union basis of B_k and V^(k) with its univariate incarnation.
 
-    elements[r] pulls back to numerators[r](t) / denom(t)^k on the curve;
-    the lifted Gram matrix in this basis equals N H N^T for the Hankel H
-    of the weighted moments m_j = L(t^j / denom(t)^(2k)).
+    elements[r] pulls back to numerators[r](t) / denom(t)^k on the curve, a
+    numerator of degree <= 3k; multiplication by t on these numerators
+    (moment._t_action) gives the atoms of a flat lifted matrix.
     """
 
     case: CurveCase
@@ -97,10 +97,6 @@ class UnivariateLift:
     b_drop: int  # combined index present only in V^(k)
     v_drop: int  # combined index present only in B_k
     unknown: tuple  # the undetermined symmetric entry (row, col)
-
-    def weight_multiplier(self, t):
-        """Factor converting classical Hankel weights to curve weights."""
-        return self.denom.eval(t) ** (2 * self.k)
 
 
 def combined_lift(case: CurveCase, k: int) -> UnivariateLift:

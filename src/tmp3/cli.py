@@ -202,7 +202,10 @@ def _tolerances(args):
 
 
 def _completion(text):
-    """ExtractOptions of a --completion flag: midpoint|left|right|value=V."""
+    """ExtractOptions of a --completion flag: midpoint|left|right|value=V, or
+    None for a flat endpoint."""
+    if text is None:
+        return ExtractOptions()
     mode, value = text, None
     if mode.startswith("value="):
         value = float(mode.split("=", 1)[1])
@@ -384,8 +387,8 @@ def build_parser():
     s = sub.add_parser("solve", help="decide a moment problem instance")
     s.add_argument("--input", required=True)
     s.add_argument("--extract", action="store_true")
-    s.add_argument("--completion", default="midpoint",
-                   help="midpoint|left|right|value=V")
+    s.add_argument("--completion", default=None,
+                   help="midpoint|left|right|value=V (default: a flat endpoint)")
     s.add_argument("--tol-psd", type=float, default=None)
     s.add_argument("--tol-rank", type=float, default=None)
     s.add_argument("--out", default=None)
@@ -436,8 +439,8 @@ def run(argv) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # --help exits 0; a usage error is malformed input
+        return 0 if not exc.code else 3
     try:
         return args.func(args)
     except (InputError, InvalidParams, IncompleteMoments, UnsupportedCase,

@@ -1222,11 +1222,12 @@ def _normalize_reducible(p: BivarPoly):
         case = make_case(cid, {})
         if _match_up_to_scale(p, case.defining_poly()):
             return case, AffineMap()
-    if abs(g(1, 0)) < 1e-12 * lead and abs(g(1, 1)) < 1e-12 * lead and abs(g(2, 0)) > 0:
-        return _normalize_mixed(p, g(0, 0), g(0, 1), g(2, 0), g(0, 2), lead)
-    # y(1 - x^2)-type three lines map onto yx(y+1) by an explicit alt
+    # y(1 - x^2)-type three lines map onto yx(y+1) by an explicit alt; the
+    # mixed shapes below would take them and refuse the line pair
     if _match_up_to_scale(p, BivarPoly({(0, 1): 1.0, (2, 1): -1.0})):
         return make_case("P28", {}), AffineMap(a=0.0, b=1.0, c=0.0, d=0.5, e=0.0, f=-0.5)
+    if abs(g(1, 0)) < 1e-12 * lead and abs(g(1, 1)) < 1e-12 * lead and abs(g(2, 0)) > 0:
+        return _normalize_mixed(p, g(0, 0), g(0, 1), g(2, 0), g(0, 2), lead)
     raise Unsupported("reducible cubic outside the recognized shapes")
 
 

@@ -1,9 +1,9 @@
 """Atomic measures: recovery from moments, generation, verification.
 
-Extraction runs through the univariate lift: complete the single unknown
-entry inside its positivity interval, pass to the congruent classical
-Hankel, read atoms off the generating polynomial and weights off a
-Vandermonde solve, then push the parameters back onto the curve.
+Extraction runs on the univariate lift: complete the single unknown entry
+at an endpoint of its psd interval, where the lift is flat, read the atoms'
+parameters off the lift's own multiplication operator (moment._Lift.nodes),
+push them onto the curve and fit the weights to the moments.
 """
 
 from __future__ import annotations
@@ -13,15 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, moment
-from .bases import basis_Vk, combined_lift
+from . import moment
+from .bases import basis_Vk
 from .curves import CurveCase, parametrization, sample_arrays, sample_points
 from .moment import Decision, MomentSequence, decide
 from .poly import BivarPoly, UnsupportedCase
-
-
-class NoMeasure(ValueError):
-    """The Hankel data does not admit a representing measure."""
 
 
 class ExtractionFailed(RuntimeError):
@@ -57,155 +53,13 @@ class AtomicMeasure:
 
 
 # ---------------------------------------------------------------------------
-# Univariate Hankel solver
-
-
-def solve_hankel_R(h, tol=None):
-    """Atomic measure on the line matching the given power moments.
-
-    Positive-definite data gets a quadrature-style flat extension through
-    its Jacobi matrix; singular psd data must already be flat, with the
-    generating polynomial's roots as nodes.  Returns (node, weight) pairs
-    with strictly positive weights.
-    """
-    tols = tol or linalg.DEFAULT_TOL
-    m = np.asarray(h, dtype=float)
-    if len(m) % 2 == 0:
-        raise ValueError("need moments m_0..m_2n")
-    # rescale t -> t/s to balance the moment magnitudes
-    s = 1.0
-    if abs(m[0]) > 0 and abs(m[-1]) > 0:
-        s = (abs(m[-1]) / abs(m[0])) ** (1.0 / (len(m) - 1))
-        s = min(max(s, 1e-3), 1e3)
-    m = m / np.power(s, np.arange(len(m)))
-    H = moment._hankel(m)
-    n1 = H.shape[0]
-    scale = max(1.0, float(np.max(np.abs(H))))
-    if linalg.psd_margin(H) < -1e-8:
-        raise NoMeasure("Hankel matrix is not psd")
-    r = linalg.numeric_rank(H, tols.rank)
-    if r == 0:
-        return []
-
-    def mismatch(pairs):
-        acc = np.zeros(len(m))
-        for t, wt in pairs:
-            acc += wt * np.power(t, np.arange(len(m)))
-        return float(np.max(np.abs(acc - m))) / scale
-
-    if r == n1:
-        nodes, w = _pd_hankel_rule(H, m)
-        # refit the weights on the Jacobi nodes; keep whichever set matches better
-        w_ls = _vandermonde_weights(nodes, m)
-        if mismatch(list(zip(nodes, w_ls))) < mismatch(list(zip(nodes, w))):
-            w = w_ls
-    else:
-        lead = H[:r, :r]
-        if linalg.numeric_rank(lead, tols.rank) != r:
-            raise NoMeasure("psd Hankel without a flat leading block")
-        sol, *_ = np.linalg.lstsq(H[:, :r], H[:, r], rcond=None)
-        if np.linalg.norm(H[:, :r] @ sol - H[:, r]) > 1e-6 * scale:
-            raise NoMeasure("rank-deficient Hankel with inconsistent kernel")
-        gen = np.concatenate([-sol, [1.0]])
-        roots = np.roots(gen[::-1])
-        nodes = []
-        for z in roots:
-            if abs(z.imag) > 1e-6 * (1.0 + abs(z)):
-                raise NoMeasure("generating polynomial has non-real roots")
-            nodes.append(float(z.real))
-        nodes.sort()
-        w = _vandermonde_weights(nodes, m)
-
-    pairs = []
-    for t, wt in zip(nodes, w):
-        if wt < -1e-9 * scale:
-            raise NoMeasure(f"negative weight {wt:.3g} at node {t:.6g}")
-        pairs.append((float(t), float(max(wt, 0.0))))
-    resid = mismatch(pairs)
-    if resid > 1e-5:
-        raise NoMeasure(f"moment mismatch {resid:.3g} after node recovery")
-    # drop numerically-zero weights only when that keeps the moments intact
-    clipped = [(t, wt) for t, wt in pairs if wt > 1e-12 * scale]
-    if len(clipped) < len(pairs) and mismatch(clipped) <= max(resid, 1e-8):
-        pairs = clipped
-    return [(t * s, wt) for t, wt in pairs if wt > 0.0]
-
-
-def _vandermonde_weights(nodes, m):
-    """Least-squares weights on the nodes matching the moments m."""
-    V = np.vander(np.asarray(nodes), N=len(m), increasing=True).T
-    return np.linalg.lstsq(V, m, rcond=None)[0]
-
-
-def _pd_hankel_rule(H, m):
-    """(n+1)-point rule matching the moments of a pd Hankel.
-
-    The Cholesky factor yields the three-term recurrence; the one free
-    diagonal entry of the Jacobi matrix (fixed only by the unavailable
-    moment m_(2n+1)) repeats the previous one, which keeps every node
-    near the spectrum instead of letting the flat extension shoot one
-    node off to infinity.  Weights come from the first eigenvector
-    components (Golub-Welsch), which stays stable when a node with
-    near-zero mass drifts outward.
-    """
-    n1 = H.shape[0]
-    try:
-        Lc = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        raise NoMeasure("pd path hit a non-Cholesky-factorable matrix")
-    R = Lc.T  # H = R^T R, R upper triangular
-    alpha = np.zeros(n1)
-    beta = np.zeros(n1)  # beta[j] couples p_(j-1), p_j
-    for j in range(n1 - 1):
-        alpha[j] = R[j, j + 1] / R[j, j] - (R[j - 1, j] / R[j - 1, j - 1] if j > 0 else 0.0)
-        beta[j + 1] = R[j + 1, j + 1] / R[j, j]
-    alpha[n1 - 1] = alpha[n1 - 2] if n1 >= 2 else m[1] / m[0]
-    J = np.diag(alpha) + np.diag(beta[1:], 1) + np.diag(beta[1:], -1)
-    vals, vecs = np.linalg.eigh(J)
-    order = np.argsort(vals)
-    nodes = [float(vals[i]) for i in order]
-    weights = [float(m[0] * vecs[0, i] ** 2) for i in order]
-    return nodes, weights
-
-
-# ---------------------------------------------------------------------------
 # Extraction through the lift
 
 
 @dataclass(frozen=True)
 class ExtractOptions:
-    completion: str = "midpoint"  # midpoint | left | right | value
+    completion: str | None = None  # None (a flat endpoint) | midpoint | left | right | value
     completion_value: float | None = None
-
-
-def _completion_candidates(ivl_pd, ivl_psd, opts: ExtractOptions):
-    if opts.completion == "value":
-        if opts.completion_value is None:
-            raise ValueError("completion mode 'value' needs completion_value")
-        return [float(opts.completion_value)]
-    base = ivl_pd if (not ivl_pd.empty and ivl_pd.width > 0) else ivl_psd
-    if base.empty:
-        return []
-    lo, hi, w = base.lo, base.hi, base.width
-    if w == 0.0:
-        return [lo]
-    named = {
-        "midpoint": 0.5 * (lo + hi),
-        "left": lo + 0.25 * w,
-        "right": hi - 0.25 * w,
-    }
-    first = named.get(opts.completion)
-    if first is None:
-        raise ValueError(f"unknown completion mode {opts.completion!r}")
-    cands = [first]
-    if ivl_psd.width > 0:
-        # flat completions: numerically the most benign recovery points
-        cands += [ivl_psd.lo, ivl_psd.hi]
-    for f in (0.5, 0.25, 0.75, 0.125, 0.875):
-        v = lo + f * w
-        if all(abs(v - c) > 1e-15 * max(1, abs(v)) for c in cands):
-            cands.append(v)
-    return cands
 
 
 def extract(L: MomentSequence, opts: ExtractOptions | None = None,
@@ -226,70 +80,110 @@ def _extract_from_lift(L: MomentSequence, work, o_weight=0.0,
                        opts: ExtractOptions | None = None) -> AtomicMeasure:
     """A measure for L from ``work``, the lift of L - o_weight * delta_0.
 
-    Each completion candidate of the lift's pd/psd intervals is tried in
-    turn: its Hankel is solved on the line, the atoms are pushed onto the
-    curve (with the point mass o_weight at the origin) and the first
-    measure that reproduces L's moments is returned.
+    The measures live at the flat completions, the endpoints of the psd
+    interval: by default the first endpoint whose measure is accepted
+    (_flat_measure) is returned, with at most 3k atoms besides the origin.
+    A requested completion v is the convex combination of the two endpoint
+    measures whose unknown pair is v (the lift is affine in v); ``value``
+    needs both, the named points fall back to an endpoint.
     """
     opts = opts or ExtractOptions()
-    case, k = L.case, L.k
-    comp = work.completion
-    if comp.psd.empty:
+    ivl = work.completion.psd
+    if ivl.empty:
         raise ExtractionFailed("no psd completion of the lifted matrix")
-    lift = combined_lift(case, k)
-    excluded = parametrization(case).components[0].excluded_t
-    errors = []
-    for v in _completion_candidates(comp.pd, comp.psd, opts):
+    theta = None
+    if opts.completion is not None:
+        v = _requested(ivl, opts)
+        if ivl.width > 0:
+            theta = (v - ivl.lo) / ivl.width
+        else:
+            theta = 0.0 if abs(v - ivl.lo) <= 1e-9 * max(1.0, abs(ivl.lo)) else math.inf
+        if not -1e-9 <= theta <= 1 + 1e-9:
+            raise ExtractionFailed(f"completion value {v:.6g} lies outside the psd interval")
+        theta = min(max(theta, 0.0), 1.0)
+    found, errors = [], []
+    for v in ((ivl.lo,) if ivl.width == 0.0 else (ivl.lo, ivl.hi)):
         try:
-            m = moment.hankel_from_lift(case, k, work.form, v)
-            pairs = solve_hankel_R(m)
-        except NoMeasure as exc:
+            found.append(_flat_measure(L, work, v, o_weight))
+        except ExtractionFailed as exc:
             errors.append(f"v={v:.6g}: {exc}")
             continue
-        bad = False
-        for t, _ in pairs:
-            if any(abs(t - ex) < 1e-6 for ex in excluded):
-                errors.append(f"v={v:.6g}: atom at excluded parameter t={t:.6g}")
-                bad = True
-                break
-        if bad:
-            continue
-        mu = _atoms_on_curve(case, k, lift, pairs, o_weight)
-        resid = verify(mu, L)
-        if resid < 1e-6:
-            return mu
-        errors.append(f"v={v:.6g}: verification residual {resid:.3g}")
+        if theta is None:
+            return found[0]
+    if theta is not None and not errors:
+        parts = [(a.x, a.y, a.w * share) for mu, share in zip(found, (1 - theta, theta))
+                 for a in mu.atoms]
+        return AtomicMeasure(tuple(Atom(x, y, w) for x, y, w in _merged(parts) if w > 0))
+    if found and opts.completion != "value":
+        return found[0]
     raise ExtractionFailed(
-        "no completion point produced an admissible measure: " + "; ".join(errors[:4])
-    )
+        "no flat completion produced an admissible measure: " + "; ".join(errors))
 
 
-def _atoms_on_curve(case, k, lift, pairs, o_weight):
-    comp = parametrization(case).components[0]
-    atoms = []
-    for t, w in pairs:
-        wc = w * lift.weight_multiplier(t)
-        atoms.append((comp.x_at(t), comp.y_at(t), wc))
+def _requested(ivl, opts: ExtractOptions):
+    """The completion value that ``opts`` asks for: a named point of the psd
+    interval ``ivl`` or the given value."""
+    if opts.completion == "value":
+        if opts.completion_value is None:
+            raise ValueError("completion mode 'value' needs completion_value")
+        return float(opts.completion_value)
+    frac = {"midpoint": 0.5, "left": 0.25, "right": 0.75}.get(opts.completion)
+    if frac is None:
+        raise ValueError(f"unknown completion mode {opts.completion!r}")
+    return ivl.lo + frac * ivl.width
+
+
+def _flat_measure(L, work, v, o_weight):
+    """The measure at the flat completion v of ``work``: the nodes that are not
+    excluded parameters, pushed onto the curve and merged where they meet,
+    weighted by a least-squares fit to the moments of L - o_weight * delta_0,
+    with o_weight at the origin.  Accepted when every weight is positive and
+    the moments of L are reproduced to 1e-6 (``verify``)."""
+    comp = parametrization(L.case).components[0]
+    pts = _merged([(comp.x_at(t), comp.y_at(t), 0.0) for t in work.nodes(v)
+                   if all(abs(t - ex) >= 1e-6 for ex in comp.excluded_t)])
+    if not pts:
+        raise ExtractionFailed("no admissible node")
+    X, Y, _ = np.array(pts).T
+    b = moment._beta_vector(work.L)
+    # rows scaled as verify weighs them, columns to unit norm: a far atom
+    # carries a tiny weight and must not swamp the others' columns
+    s = np.maximum(1.0, np.abs(b))
+    A = np.array([X**i * Y**j for i, j in moment._graded_keys(L.k)]) / s[:, None]
+    c = np.linalg.norm(A, axis=0)
+    w = np.linalg.lstsq(A / c, b / s, rcond=None)[0] / c
+    if w.min() <= 0:
+        raise ExtractionFailed(f"nonpositive weight {w.min():.3g}")
+    atoms = list(zip(X.tolist(), Y.tolist(), w.tolist()))
     if o_weight > 1e-12:
         atoms.append((0.0, 0.0, o_weight))
-    # merge atoms landing on the same curve point (e.g. the node of P4)
-    merged = []
+    mu = AtomicMeasure(tuple(Atom(x, y, w) for x, y, w in atoms))
+    resid = verify(mu, L)
+    if not resid < 1e-6:
+        raise ExtractionFailed(f"verification residual {resid:.3g}")
+    return mu
+
+
+def _merged(atoms):
+    """(x, y, w) atoms with those on the same curve point (the node of P4) merged."""
+    out = []
     for x, y, w in atoms:
-        for i, (xx, yy, ww) in enumerate(merged):
+        for i, (xx, yy, ww) in enumerate(out):
             if abs(x - xx) < 1e-8 * (1 + abs(x)) and abs(y - yy) < 1e-8 * (1 + abs(y)):
-                merged[i] = (xx, yy, ww + w)
+                out[i] = (xx, yy, ww + w)
                 break
         else:
-            merged.append((x, y, w))
-    return AtomicMeasure(tuple(Atom(x, y, w) for x, y, w in merged if w > 1e-12))
+            out.append((x, y, w))
+    return out
 
 
 def verify(mu: AtomicMeasure, L: MomentSequence) -> float:
-    """max relative deviation between the measure's moments and L's."""
+    """max relative deviation between the measure's moments and L's,
+    |m - beta| / max(1, |beta|)."""
     worst = 0.0
     for (i, j), b in L.beta.items():
         s = sum(a.w * a.x**i * a.y**j for a in mu.atoms)
-        worst = max(worst, abs(s - b) / (1.0 + abs(b)))
+        worst = max(worst, abs(s - b) / max(1.0, abs(b)))
     return worst
 
 

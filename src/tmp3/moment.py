@@ -25,8 +25,8 @@ from . import linalg
 from .bases import basis_Bk, basis_Rk1, basis_Vk, combined_lift
 from .curves import CurveCase, chi_flags
 from .linalg import Interval, SymmetricForm, Tolerances
-from .poly import (_UNIT, BasisElement, BivarPoly, RationalElem, UnivarPoly, _entry, _factor,
-                   _exps, _mon_index, _shifted, normal_low, product_on_curve)
+from .poly import (_UNIT, BasisElement, BivarPoly, RationalElem, _entry, _factor, _exps,
+                   _mon_index, _shifted, normal_low, product_on_curve)
 
 _M = BivarPoly.monomial
 
@@ -330,54 +330,34 @@ def lift_matrix(L: MomentSequence) -> SymmetricForm:
 
 
 @lru_cache(maxsize=512)
-def _hankel_map(case: CurveCase, k: int):
-    """(N^-1, antidiagonal index of each entry, antidiagonal lengths) of the lift
-    basis of (case, k), N its numerator-coefficient matrix."""
+def _t_action(case: CurveCase, k: int):
+    """(F', T'^T): multiplication by t on the lift basis of (case, k), over every
+    row but p.
+
+    Row r of N holds the t-coefficients of element r's numerator (degree <= 3k),
+    and p is the element with the largest t^3k coefficient.  Row r != p of F
+    is element r minus the multiple of p that cancels its t^3k term, and row p
+    is p itself; so t * (F phi)_r has degree <= 3k for r != p, and it equals
+    (T^T phi)_r with T = solve(N^T, shift(F N)^T).  Only N is solved against:
+    the moments never pass through N^-1.
+    """
     lift = combined_lift(case, k)
     n = len(lift.elements)
     N = np.zeros((n, n))
     for r, num in enumerate(lift.numerators):
         N[r, :len(num.coeffs)] = num.coeffs
-    anti = np.add.outer(np.arange(n), np.arange(n)).ravel()
-    return np.linalg.inv(N), anti, np.bincount(anti)
+    p = int(np.argmax(np.abs(N[:, -1])))
+    F = np.eye(n)
+    F[:, p] -= N[:, -1] / N[p, -1]
+    F[p, p] = 1.0
+    shifted = np.zeros((n, n))
+    shifted[:, 1:] = (F @ N)[:, :-1]
+    T = np.linalg.solve(N.T, shifted.T)
+    rows = [r for r in range(n) if r != p]
+    return F[rows], T[:, rows].T
 
 
-def hankel_from_lift(case: CurveCase, k: int, PM: SymmetricForm, value: float):
-    """Classical Hankel congruent to the lifted matrix PM of (case, k) completed with value.
-
-    With N the numerator-coefficient matrix of the lift basis, the lifted
-    Gram matrix is N H N^T; H holds the weighted moments m_0..m_(6k), each
-    the average of its antidiagonal of H (which enforces the exact Hankel
-    structure).
-    """
-    Ninv, anti, cnt = _hankel_map(case, k)
-    M = PM.with_value(value).known()
-    H = Ninv @ M @ Ninv.T
-    return np.bincount(anti, H.ravel()) / cnt
-
-
-def _hankel(m):
-    """The Hankel matrix [m_(i+j)] of the moments m_0..m_2n."""
-    n = (len(m) + 1) // 2
-    return np.asarray(m, dtype=float)[np.add.outer(np.arange(n), np.arange(n))]
-
-
-def generating_polynomial(H) -> UnivarPoly:
-    """Monic lowest-degree polynomial whose coefficients lie in ker H."""
-    M = H.known() if isinstance(H, SymmetricForm) else np.asarray(H, dtype=float)
-    n = M.shape[0]
-    scale = max(1.0, float(np.max(np.abs(M))))
-    for r in range(n):
-        A = M[:, :r]
-        col = M[:, r]
-        if r == 0:
-            if np.linalg.norm(col) <= 1e-10 * scale:
-                return UnivarPoly([1.0])
-            continue
-        sol, *_ = np.linalg.lstsq(A, col, rcond=None)
-        if np.linalg.norm(A @ sol - col) <= 1e-8 * scale:
-            return UnivarPoly(list(-sol) + [1.0])
-    raise ValueError("matrix has trivial kernel")
+_NODE_CUTOFF = 1e-13  # relative eigenvalue of G below which _Lift.nodes drops a direction
 
 
 class _Lift:
@@ -399,6 +379,19 @@ class _Lift:
     @cached_property
     def completion(self) -> linalg.Completion:
         return linalg.completion_interval(self.form, self.tol)
+
+    def nodes(self, v):
+        """The parameters t read off the lift completed with v: the eigenvalues
+        of multiplication by t, whitened by the Gram matrix G = F' M F'^T (see
+        _t_action) without its eigenvalues at most 1e-13 of the largest.  At a
+        flat completion they are the atoms' parameters (Golub & Welsch 1969)."""
+        Fp, Tt = _t_action(self.L.case, self.L.k)
+        MF = self.form.with_value(v).known() @ Fp.T
+        w, V = np.linalg.eigh(Fp @ MF)
+        keep = w > _NODE_CUTOFF * max(w[-1], 0.0)
+        W = V[:, keep] / np.sqrt(w[keep])
+        C = W.T @ (Tt @ MF) @ W
+        return np.linalg.eigvalsh(0.5 * (C + C.T))
 
 
 # ---------------------------------------------------------------------------
@@ -592,23 +585,16 @@ def _decide_lift_singular(lift, checks, tol):
 
 
 def _root_avoidance(lift, rd):
-    """Whether the generating polynomial of a psd completion keeps its real
-    roots away from +-rd, and the distance."""
+    """Whether the atoms' parameters of a singular psd completion keep away
+    from +-rd, and the distance (inf when the completion is nonsingular)."""
     ivl = lift.completion.psd
     if ivl.empty:
         return False, -1.0
-    L = lift.L
-    H = _hankel(hankel_from_lift(L.case, L.k, lift.form, ivl.midpoint()))
-    try:
-        g = generating_polynomial(H)
-    except ValueError:
-        return True, math.inf  # trivial kernel: nothing to avoid
-    dist = math.inf
-    if g.degree() >= 1:
-        roots = np.roots(list(reversed(g.coeffs)))
-        for r in roots:
-            if abs(r.imag) < 1e-6 * (1 + abs(r)):
-                dist = min(dist, abs(r.real - rd), abs(r.real + rd))
+    v = ivl.midpoint()
+    M = lift.form.with_value(v).known()
+    if linalg.numeric_rank(M, lift.tol.rank) == M.shape[0]:
+        return True, math.inf  # nothing to avoid
+    dist = min((min(abs(t - rd), abs(t + rd)) for t in lift.nodes(v)), default=math.inf)
     return dist > 1e-6, dist
 
 

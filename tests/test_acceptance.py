@@ -169,6 +169,9 @@ def test_criterion_6_completion():
             rec = extract(L, ExtractOptions(completion="value", completion_value=v),
                           decision=dec0)
             assert verify(rec, L) < 1e-6
+            # the measure completes the unknown pair with v
+            got = sum(a.w * e0.eval(a.x, a.y) * e1.eval(a.x, a.y) for a in rec.atoms)
+            assert abs(got - v) <= 1e-6 * abs(v), (cid, got, v)
         assert dec0.passed()
 
 
@@ -198,7 +201,7 @@ def test_criterion_7_singular_branches():
     assert verify(rec, L) < 1e-6
     assert np.allclose(sorted(a.x for a in rec.atoms), [-1.1, 0.8], atol=1e-6)
 
-    # d > 0 instance whose generating polynomial avoids +-sqrt(d)
+    # d > 0 instance whose atoms' parameters avoid +-sqrt(d)
     pars = dict(a=0.5, d=1.0, e=3.0)
     case = make_case("P6", pars)
 
@@ -210,6 +213,9 @@ def test_criterion_7_singular_branches():
     dec = decide(L)
     assert dec.verdict == "MomentFunctional"
     assert any(c.name == "root_avoidance_sqrt_d" and c.passed for c in dec.details)
+    # the flat lift's nodes are the parameters 0.3, 2.0, -1.7: nearest to 1 is 0.3
+    root = next(c for c in dec.details if c.name == "root_avoidance_sqrt_d")
+    assert abs(root.margin - 0.7) < 1e-6
     rec = extract(L, decision=dec)
     assert np.allclose(sorted(a.y for a in rec.atoms), [-1.7, 0.3, 2.0], atol=1e-6)
 

@@ -188,6 +188,17 @@ class TestSolve:
         assert code == 3
         assert "unknown completion mode" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("argv", [["solve"], ["solve", "--input", "p.json", "--bogus"], []])
+    def test_usage_error_exit3(self, capsys, argv):
+        """A missing --input, an unknown flag and an empty command line are
+        malformed input: exit 3, with argparse's usage message on stderr."""
+        assert run(argv) == 3
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exit0(self, capsys):
+        assert run(["solve", "--help"]) == 0
+        assert "--completion" in capsys.readouterr().out
+
     def test_no_flag_carries_over_between_runs(self, tmp_path, capsys):
         """The process keeps one parser; a second run without --extract and
         --out reports no measure, on stdout."""

@@ -230,6 +230,19 @@ class TestNormalize:
         assert case.id == expect
         _check_pushforward(poly, case, amap)
 
+    @pytest.mark.parametrize("p", [_M(0, 1) - _M(2, 1), _M(2, 1) - _M(0, 1)])
+    def test_three_lines_onto_p28(self, p):
+        """y(1 - x^2) and its negative: the lines y = 0, x = 1, x = -1 go to
+        x = 0, y = 0, y = -1 under (x, y) -> (y, x/2 - 1/2)."""
+        from tmp3.curves import _verify_map
+
+        case, amap = normalize(p)
+        assert case.id == "P28"
+        assert [amap.apply(x, y) for x, y in [(0.0, 0.0), (1.0, 2.0), (-1.0, 0.0)]] == [
+            (0.0, -0.5), (2.0, 0.0), (0.0, -1.0)]
+        _verify_map(case, amap, p)
+        _check_pushforward(p, case, amap)
+
     def test_reducible_map_verified_once(self, monkeypatch):
         """normalize verifies a P26 or catalog (P27) map once, and every input
         of this class ends as it did when the reducible branches also verified

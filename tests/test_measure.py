@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import CASE_PARAMS, CONSTRUCTIVE
-from tmp3 import Certificate, SymmetricForm, make_case, verify_certificate
+from conftest import CASE_PARAMS, CONSTRUCTIVE, P6_VARIANTS
+from tmp3 import Certificate, SymmetricForm, make_case, moment, verify_certificate
 from tmp3.measure import (
     Atom,
     AtomicMeasure,
     ExtractOptions,
     ExtractionFailed,
-    NoMeasure,
     NoWitness,
+    _extract_from_lift,
     extract,
     generate,
     generate_measure,
     sampled_min_on_curve,
-    solve_hankel_R,
     verify,
     witness,
 )
@@ -23,51 +22,55 @@ from tmp3.moment import MomentSequence, _form, decide
 from tmp3.poly import UnsupportedCase
 
 
-class TestSolveHankel:
+def _p13_measure(ts, ws, k):
+    """L of the atoms (t, t^3) with weights ws on P13, and its lift."""
+    mu = AtomicMeasure(tuple(Atom(t, t**3, w) for t, w in zip(ts, ws)))
+    L = MomentSequence(make_case("P13"), k, mu.moments(k))
+    return L, moment._Lift(L)
+
+
+class TestFlatMeasure:
+    """The measure of a lift at its flat completions (_extract_from_lift)."""
+
     def test_two_atoms(self):
-        # delta_-1 + 2*delta_1: moments 3, 1, 3, 1, 3
-        pairs = solve_hankel_R([3.0, 1.0, 3.0, 1.0, 3.0])
-        pairs.sort()
-        assert pairs[0][0] == pytest.approx(-1.0)
-        assert pairs[0][1] == pytest.approx(1.0)
-        assert pairs[1][0] == pytest.approx(1.0)
-        assert pairs[1][1] == pytest.approx(2.0)
+        # delta_-1 + 2*delta_1 on x = t
+        L, lift = _p13_measure([-1.0, 1.0], [1.0, 2.0], 2)
+        got = sorted((a.x, a.w) for a in _extract_from_lift(L, lift).atoms)
+        assert got == [(pytest.approx(-1.0), pytest.approx(1.0)),
+                       (pytest.approx(1.0), pytest.approx(2.0))]
 
     def test_single_atom(self):
         c = 0.8
-        pairs = solve_hankel_R([c**j for j in range(7)])
-        assert len(pairs) == 1
-        assert pairs[0][0] == pytest.approx(c)
-        assert pairs[0][1] == pytest.approx(1.0)
+        L, lift = _p13_measure([c], [1.0], 3)
+        (a,) = _extract_from_lift(L, lift).atoms
+        assert (a.x, a.y, a.w) == (pytest.approx(c), pytest.approx(c**3), pytest.approx(1.0))
 
     def test_roundtrip_four_atoms(self):
         rng = np.random.default_rng(0)
         ts = np.sort(rng.uniform(-2, 2, 4))
         while np.min(np.diff(ts)) < 1e-3:
             ts = np.sort(rng.uniform(-2, 2, 4))
-        ws = rng.uniform(0.5, 1.5, 4)
-        m = [float(np.sum(ws * ts**j)) for j in range(9)]
-        pairs = solve_hankel_R(m)
-        assert len(pairs) == 4
-        got = np.array(sorted(t for t, _ in pairs))
-        assert np.allclose(got, ts, atol=1e-6)
+        L, lift = _p13_measure(ts, rng.uniform(0.5, 1.5, 4), 3)
+        mu = _extract_from_lift(L, lift)
+        assert len(mu) == 4
+        assert np.allclose(sorted(a.x for a in mu.atoms), ts, atol=1e-6)
 
     def test_not_psd(self):
-        with pytest.raises(NoMeasure):
-            solve_hankel_R([1.0, 0.0, -1.0])
+        # a negative mass: the block D is indefinite and no completion is psd
+        L, lift = _p13_measure([0.5, 1.0], [1.0, -1.0], 2)
+        assert lift.completion.psd.empty
+        with pytest.raises(ExtractionFailed, match="no psd completion"):
+            _extract_from_lift(L, lift)
 
     def test_flat_exactness_separated(self):
         rng = np.random.default_rng(5)
         for trial in range(10):
-            n = 3
-            ts = np.sort(rng.uniform(-2, 2, n))
+            ts = np.sort(rng.uniform(-2, 2, 3))
             if np.min(np.diff(ts)) < 1e-3:
                 continue
-            ws = rng.uniform(0.3, 1.4, n)
-            m = [float(np.sum(ws * ts**j)) for j in range(13)]
-            pairs = solve_hankel_R(m)
-            got_t = np.array(sorted(t for t, _ in pairs))
-            assert np.allclose(got_t, ts, atol=1e-6)
+            L, lift = _p13_measure(ts, rng.uniform(0.3, 1.4, 3), 3)
+            mu = _extract_from_lift(L, lift)
+            assert np.allclose(sorted(a.x for a in mu.atoms), ts, atol=1e-6)
 
 
 class TestExtract:
@@ -126,14 +129,81 @@ class TestExtract:
         assert len(origin) == 1 and origin[0].w == pytest.approx(0.7, abs=1e-7)
 
 
+class TestRequestedCompletion:
+    """A requested completion is the convex combination of the endpoint measures."""
+
+    def _lift(self):
+        case = make_case("P4")
+        L, _ = generate(case, 2, n_atoms=7, seed=1)
+        lift = moment._Lift(L)
+        assert lift.completion.psd.width > 0
+        return L, lift
+
+    def test_named_points_combine_the_endpoints(self):
+        L, lift = self._lift()
+        ends = [_extract_from_lift(L, lift, opts=ExtractOptions(completion="value",
+                                                                completion_value=v))
+                for v in (lift.completion.psd.lo, lift.completion.psd.hi)]
+        assert all(len(mu) <= 6 for mu in ends)
+        for mode in ("left", "midpoint", "right"):
+            mu = _extract_from_lift(L, lift, opts=ExtractOptions(completion=mode))
+            assert verify(mu, L) < 1e-6 and len(mu) <= 12
+            assert len(mu) == len(ends[0]) + len(ends[1])
+
+    def test_value_outside_the_interval_fails(self):
+        L, lift = self._lift()
+        v = lift.completion.psd.hi + lift.completion.psd.width
+        with pytest.raises(ExtractionFailed, match="outside the psd interval"):
+            _extract_from_lift(L, lift, opts=ExtractOptions(completion="value",
+                                                           completion_value=v))
+
+
+#: genuine 3k+1-atom data at k = 5, 6 that the monomial-Hankel extraction
+#: failed on (ExtractionFailed after a passing verdict): (case, params, k,
+#: seed of generate).  P6 with d = 0 decides no such data at k = 5, 6, and
+#: P6 with d > 0 extracts none at k = 6.
+HIGH_K_ROUNDTRIPS = [
+    ("P4", {}, 5, 0),
+    ("P4", {}, 6, 4),
+    ("P5", {}, 5, 0),
+    ("P5", {}, 6, 0),
+    ("P6", P6_VARIANTS[0], 5, 0),
+    ("P6", P6_VARIANTS[0], 6, 2),
+    ("P6", P6_VARIANTS[2], 5, 6),
+]
+
+
+@pytest.mark.parametrize("cid,params,k,seed", HIGH_K_ROUNDTRIPS)
+def test_high_k_roundtrip(cid, params, k, seed):
+    """The flat-endpoint measure reproduces L to 1e-6 with at most 3k atoms,
+    besides P5's point mass at the origin."""
+    L, _ = generate(make_case(cid, params), k, n_atoms=3 * k + 1, seed=seed)
+    dec = decide(L)
+    assert dec.passed()
+    mu = extract(L, decision=dec)
+    assert verify(mu, L) < 1e-6
+    assert all(a.w > 0 for a in mu.atoms)
+    assert len(mu) - (dec.o_weight > 0) <= 3 * k
+
+
 class TestVerifyGenerate:
     def test_verify_perturbed_weight(self):
         case = make_case("P3")
         mu = AtomicMeasure((Atom(1.0, 1.0, 1.0),))
         L = MomentSequence(case, 2, mu.moments(2))
         mu2 = AtomicMeasure((Atom(1.0, 1.0, 2.0),))
-        # every moment is off by the doubled weight: |2-1|/(1+1)
-        assert verify(mu2, L) == pytest.approx(0.5)
+        # every moment is off by the doubled weight: |2-1|/max(1, 1)
+        assert verify(mu2, L) == pytest.approx(1.0)
+
+    def test_verify_bound_is_relative_to_max_one_beta(self):
+        """A moment off by 1.5e-6 where |beta| = 1 fails the 1e-6 bound."""
+        case = make_case("P3")
+        mu = AtomicMeasure((Atom(1.0, 1.0, 1.0),))
+        L = MomentSequence(case, 2, mu.moments(2))
+        assert all(b == 1.0 for b in L.beta.values())
+        off = AtomicMeasure((Atom(1.0, 1.0, 1.0 + 1.5e-6),))
+        assert verify(off, L) == pytest.approx(1.5e-6)
+        assert not verify(off, L) < 1e-6
 
     def test_empty_measure_zero_sequence(self):
         case = make_case("P4")

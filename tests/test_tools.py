@@ -80,3 +80,22 @@ def test_cold_tables_one_label(tmp_path):
     assert sum(line.startswith("cache ") for line in lines) == len(traffic)
     assert "poly._normal " in out.getvalue() and "poly._shift_index " in out.getvalue()
     assert "_unit_normal_low" not in out.getvalue()
+
+
+CENSUS = pathlib.Path(__file__).resolve().parents[1] / "tools" / "atom_census.py"
+
+
+def test_atom_census_one_label():
+    """``tools/atom_census.py`` on P13 at k = 2: every instance of the grid is
+    decided and extracted, with at most 3k atoms."""
+    spec = importlib.util.spec_from_file_location("atom_census", CENSUS)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    rows = tool.census(labels={"P13"}, ks=(2,))
+    assert rows == {("P13", 2): [12, 12, 12, 6, 0]}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        tool.print_table(rows)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 3 and lines[1].split() == ["P13", "2", "12", "12", "12", "6", "6", "0"]
+    assert lines[2].startswith("total: 12 instances, 12 decided, 12 extracted")
