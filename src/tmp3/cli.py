@@ -244,12 +244,8 @@ def cmd_solve(args):
             report["residual"] = measure.verify(mu, L)
         except (measure.ExtractionFailed, UnsupportedCase) as exc:
             report["extraction_error"] = str(exc)
-    if dec.verdict == "NotMomentFunctional" and dec.witness_available:
-        try:
-            p = measure.witness(L, decision=dec)
-            report["witness"] = poly_to_json(p)
-        except NoWitness:
-            pass
+    if dec.witness is not None:
+        report["witness"] = poly_to_json(dec.witness)
     _write_report(report, args.out)
     return dec.exit_code()
 

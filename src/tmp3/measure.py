@@ -312,28 +312,13 @@ def generate(case: CurveCase, k: int, mu: AtomicMeasure | None = None,
 
 
 def witness(L: MomentSequence, decision: Decision | None = None) -> BivarPoly:
-    """Polynomial p >= 0 on the curve with L(p) < 0, from a failed psd check.
-
-    With g the most negative eigenvector of the failing matrix, zero outside
-    its rows of the compiled form, p = chi * f * (sum g_r u_r)^2 is that
-    form read backwards (Form.polynomial of g g^T, the map the certificate
-    residual reads), so L(p) = g^T M g < 0 up to rounding.  p is accepted
-    only when L(p) < -n * u * sum |p_m beta_m|, n the number of terms of p
-    and u = 2^-53: the standard bound on the rounding error of a dot
-    product (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).
-    """
+    """Polynomial p >= 0 on the curve with L(p) < 0: the witness that decide
+    built and confirmed against the rounding bound when it refuted L (see
+    moment._refuted).  Raises NoWitness on every other verdict."""
     dec = decision or decide(L)
-    ref = dec.refutation
-    if dec.passed() or ref is None:
+    if dec.witness is None:
         raise NoWitness(f"decision was {dec.verdict}")
-    g = np.zeros(len(ref.form.elements))
-    g[ref.rows] = np.linalg.eigh(ref.matrix.known())[1][:, 0]
-    p = ref.form.polynomial(np.outer(g, g))
-    val = L.value(p)
-    bound = len(p.coeffs) * 2.0**-53 * sum(abs(c * L.beta[m]) for m, c in p.coeffs.items())
-    if not val < -bound:
-        raise NoWitness(f"witness value {val:.3g} is not below the rounding bound -{bound:.3g}")
-    return p
+    return dec.witness
 
 
 def sampled_min_on_curve(p: BivarPoly, case: CurveCase, n=500, seed=3):

@@ -76,35 +76,26 @@ class Check:
     margin: float
 
 
-@dataclass(frozen=True)
-class Refutation:
-    """The failing matrix of a refutation and the compiled form it came from:
-    ``matrix`` is the principal block ``rows`` of ``form.matrix(L)`` (all of it,
-    or P5's Schur block, rows 2: of the lift form), and witness() reads the
-    form backwards through ``Form.polynomial``."""
-
-    form: Form
-    rows: slice
-    matrix: SymmetricForm
-
-
 @dataclass
 class Decision:
+    """A verdict with its checks.  It is NotMomentFunctional exactly when
+    ``witness`` is set: p >= 0 on the curve, L(p) confirmed negative (_refuted)."""
+
     verdict: str  # MomentFunctional | MomentFunctionalOnNonIsolated |
     #              NotMomentFunctional | Inconclusive
     details: list = field(default_factory=list)
     completion_interval: Interval | None = None
     note: str = ""
-    refutation: Refutation | None = None  # the payload of witness()
+    witness: BivarPoly | None = None  # the payload of witness()
     o_weight: float = 0.0
     singular_branch: str = ""
-    # the payload of extract(), as refutation is witness()'s: on a passing
+    # the payload of extract(), as witness is witness()'s: on a passing
     # constructive verdict, the lift of L - o_weight * delta_0
     lift: _Lift | None = field(default=None, repr=False, compare=False)
 
     @property
     def witness_available(self):
-        return self.refutation is not None
+        return self.witness is not None
 
     def passed(self):
         return self.verdict in ("MomentFunctional", "MomentFunctionalOnNonIsolated")
@@ -430,9 +421,9 @@ def decide(L: MomentSequence, opts: DecideOptions | None = None) -> Decision:
     checks.append(Check("localizing_matrix_pd", "pd", mv_pd, mv))
 
     if not mb_psd:
-        return _refuted(checks, bk, MB)
+        return _refuted(L, checks, bk, MB, slice(None), "moment_matrix_pd")
     if not mv_psd:
-        return _refuted(checks, vk, MV)
+        return _refuted(L, checks, vk, MV, slice(None), "localizing_matrix_pd")
 
     # the lift of a constructive case: every branch below reads this one assembly
     lift = _Lift(L, tol) if case.is_constructive() else None
@@ -454,7 +445,7 @@ def decide(L: MomentSequence, opts: DecideOptions | None = None) -> Decision:
 
     # singular routes
     if route == "elliptic":
-        return _decide_elliptic_singular(L, MB, MV, checks, tol)
+        return _decide_elliptic_singular(L, MB, mb, MV, checks, tol)
     if route == "lift":
         dec = _decide_lift_singular(lift, checks, tol)
         if dec.verdict != "Inconclusive":
@@ -495,9 +486,34 @@ def _constructive_fallback(lift, checks, o_weight=0.0, work=None):
                     lift=work or lift)
 
 
-def _refuted(checks, form: Form, M: SymmetricForm, rows=slice(None)):
-    """NotMomentFunctional from the failing matrix M, the block ``rows`` of form."""
-    return Decision("NotMomentFunctional", checks, refutation=Refutation(form, rows, M))
+def _refuted(L, checks, form: Form, M: SymmetricForm, rows, name):
+    """The verdict when check ``name`` fails on M, the block ``rows`` of form.
+
+    With g the most negative eigenvector of M, zero outside ``rows``, the
+    witness p = chi * f * (sum g_r u_r)^2 is the form read backwards
+    (Form.polynomial of g g^T), so L(p) = g^T M g < 0 up to rounding.  The
+    only NotMomentFunctional verdict: L(p) < -n * u * sum |p_m beta_m|, n the
+    terms of p and u = 2^-53, the rounding bound of a dot product (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1); else Inconclusive.
+    """
+    g = np.zeros(len(form.elements))
+    g[rows] = np.linalg.eigh(M.known())[1][:, 0]
+    p = form.polynomial(np.outer(g, g))
+    val = L.value(p)
+    bound = len(p.coeffs) * 2.0**-53 * sum(abs(c * L.beta[m]) for m, c in p.coeffs.items())
+    if val < -bound:
+        return Decision("NotMomentFunctional", checks, witness=p)
+    return _unrefuted(checks, f"witness value {val:.3g} is not below the rounding bound "
+                              f"-{bound:.3g}", name)
+
+
+def _unrefuted(checks, why, name, tol=None):
+    """Inconclusive after check ``name`` failed without a confirmed witness:
+    the note gives ``why``, the check, its margin and the tolerance ``tol``."""
+    margin = next(c.margin for c in checks if c.name == name)
+    against = "" if tol is None else f", tolerance {tol:.3g}"
+    return Decision("Inconclusive", checks,
+                    note=f"{why} ({name} margin {margin:.3g}{against}); not refuted")
 
 
 def _decide_v2(L, MB, mb, checks, tol):
@@ -510,7 +526,7 @@ def _decide_v2(L, MB, mb, checks, tol):
     ok = mb >= tol.pd
     borderline = mb >= -tol.psd and not ok
     if mb < -tol.psd:
-        return _refuted(checks, _form(L.case, L.k, "Bk"), MB)
+        return _refuted(L, checks, _form(L.case, L.k, "Bk"), MB, slice(None), "moment_matrix_pd")
     for name, which in (("localizing_chi1_pd", "Q0"), ("localizing_chi2_pd", "Q1")):
         form = _form(L.case, L.k, which)
         if form.chi == 0:
@@ -519,7 +535,7 @@ def _decide_v2(L, MB, mb, checks, tol):
         mg = linalg.psd_margin(m.known())
         checks.append(Check(name, "pd", mg >= tol.pd, mg))
         if mg < -tol.psd:
-            return _refuted(checks, form, m)
+            return _refuted(L, checks, form, m, slice(None), name)
         if mg < tol.pd:
             borderline = True
     if ok and not borderline:
@@ -654,11 +670,12 @@ def _decide_p5(L, MB, mb, checks, tol):
     checks.append(Check("b_in_range", "range", range_b <= 1e-6 * scale, -range_b / scale))
 
     if mb < -tol.psd:
-        return _refuted(checks, _form(case, L.k, "Bk"), MB)
+        return _refuted(L, checks, _form(case, L.k, "Bk"), MB, slice(None), "moment_matrix_pd")
     if bpsd < -tol.psd:
         # the Schur block over the tilde elements; the lift multiplier is 1
-        return _refuted(checks, _form(case, L.k, "lift"),
-                        SymmetricForm(list(lift.form.labels[2:]), comp.D), slice(2, None))
+        return _refuted(L, checks, _form(case, L.k, "lift"),
+                        SymmetricForm(list(lift.form.labels[2:]), comp.D), slice(2, None),
+                        "schur_block_psd")
     if range_b > 1e-6 * scale:
         return Decision("Inconclusive", checks,
                         note="b outside the range of the Schur block")
@@ -680,10 +697,12 @@ def _decide_p5(L, MB, mb, checks, tol):
         dec, _ = _p5_lambda0(lift, sigma1, checks, tol)
         if dec is not None:
             return dec
-        # all three branches failed: refuted when they did so with clear margins
-        if sigma1 < -tol.psd * scale or sigma1 + sigma2 < -1e-6 * scale:
-            return Decision("NotMomentFunctional", checks,
-                            note="the point-mass interval at the isolated point is empty")
+        # all three branches failed; with no witness, not even clear margins refute
+        empty = "the point-mass interval at the isolated point is empty"
+        if sigma1 < -tol.psd * scale:
+            return _unrefuted(checks, empty, "lambda0_nonneg", tol.psd)
+        if sigma1 + sigma2 < -1e-6 * scale:
+            return _unrefuted(checks, empty, "sigma1_exceeds_minus_sigma2", 1e-6)
         return Decision("Inconclusive", checks, note="borderline isolated-point data")
 
     # singular moment matrix: prefer a measure avoiding the isolated point,
@@ -781,18 +800,18 @@ def _extension_reductions(case: CurveCase, k: int):
                  for d2 in range(0, 2 * (k + 1) + 1) for i in range(d2 + 1))
 
 
-def _decide_elliptic_singular(L, MB, MV, checks, tol):
+def _decide_elliptic_singular(L, MB, mb, MV, checks, tol):
     """Unique square-positive extension to level k+1 for P1/P2.
 
     The kernel element of least curve degree pins six new values through
     the orthogonality of its monomial multiples; below-window multiples
     give consistency residuals.  The data is a moment functional exactly
     when the system is consistent and the extended pair of matrices at
-    level k+1 stays psd.
+    level k+1 stays psd.  The extension lives at degree 2k+2, where no
+    witness can be read against L, so a failure is Inconclusive.
     """
     case, k = L.case, L.k
     scale = L.scale()
-    mb = linalg.psd_margin(MB.known())
     b_els = _form(case, k, "Bk").elements
     v_els = _form(case, k, "Vk").elements
 
@@ -854,9 +873,8 @@ def _decide_elliptic_singular(L, MB, MV, checks, tol):
     checks.append(Check("extension_consistent", "residual", consistent,
                         -resid_max / scale))
     if not consistent:
-        dec = Decision("NotMomentFunctional", checks)
-        dec.note = "the unique singular extension is inconsistent with the data"
-        return dec
+        return _unrefuted(checks, "the unique singular extension is inconsistent with the data",
+                          "extension_consistent", 1e-7)
     for d in range(6 * k + 1, 6 * k + 7):
         vals.setdefault(d, 0.0)
 
@@ -874,6 +892,5 @@ def _decide_elliptic_singular(L, MB, MV, checks, tol):
         dec = Decision("MomentFunctional", checks)
         dec.singular_branch = f"elliptic_extension:{branch}"
         return dec
-    dec = Decision("NotMomentFunctional", checks)
-    dec.note = "the unique extension fails positivity"
-    return dec
+    failed = "extension_moment_psd" if m1 < -tol.psd else "extension_localizing_psd"
+    return _unrefuted(checks, "the unique extension fails positivity", failed, tol.psd)

@@ -69,6 +69,12 @@ def bench_corpus():
     return mod
 
 
+def rounding_bound(p, L):
+    """n * u * sum |p_m beta_m|, n the number of terms of p, u = 2^-53: the
+    bound decide's witness value must clear."""
+    return len(p.coeffs) * 2.0**-53 * sum(abs(c * L.beta[m]) for m, c in p.coeffs.items())
+
+
 def every_case():
     return [make_case(cid, params) for cid, params in CASE_PARAMS.items()]
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import CASE_PARAMS, CONSTRUCTIVE, P6_VARIANTS
+from conftest import CASE_PARAMS, CONSTRUCTIVE, P6_VARIANTS, rounding_bound
 from tmp3 import Certificate, SymmetricForm, make_case, moment, verify_certificate
 from tmp3.measure import (
     Atom,
@@ -18,6 +18,7 @@ from tmp3.measure import (
     witness,
 )
 from tmp3.curves import sample_points
+from tmp3.linalg import DEFAULT_TOL
 from tmp3.moment import MomentSequence, _form, decide
 from tmp3.poly import UnsupportedCase
 
@@ -320,6 +321,24 @@ def _p5_schur_refuted():
     return case, mu.atoms[:2] + (Atom(0.0, 0.0, 1e6), Atom(z.x, z.y, -1e-6)), "schur"
 
 
+# the compiled form each refuting check reads; P5's Schur block is its rows 2:
+_REFUTING_FORM = {"moment_matrix_pd": "Bk", "localizing_matrix_pd": "Vk",
+                  "localizing_chi1_pd": "Q0", "localizing_chi2_pd": "Q1",
+                  "schur_block_psd": "schur"}
+
+
+def _refuting(L, dec):
+    """(which, form, failing matrix) of the check whose margin is below -tol.psd,
+    and the invariant: a refutation carries a witness, and nothing else does."""
+    assert (dec.verdict == "NotMomentFunctional") == (dec.witness is not None)
+    name = next(c.name for c in dec.details if c.margin < -DEFAULT_TOL.psd)
+    which = _REFUTING_FORM[name]
+    if which == "schur":
+        return which, _form(L.case, L.k, "lift"), moment._Lift(L).completion.D
+    form = _form(L.case, L.k, which)
+    return which, form, form.matrix(L).known()
+
+
 @pytest.mark.parametrize("build", [_vk_refuted, _q0_refuted, _p5_schur_refuted])
 def test_refutation_witness(build):
     """Refutations from the localizing form, a two-factor form and P5's Schur
@@ -330,25 +349,16 @@ def test_refutation_witness(build):
     L = MomentSequence(case, k, AtomicMeasure(atoms).moments(k))
     dec = decide(L)
     assert dec.verdict == "NotMomentFunctional"
-    ref = dec.refutation
-    if which == "schur":
-        assert (ref.form, ref.rows) == (_form(case, k, "lift"), slice(2, None))
-    else:
-        assert (ref.form, ref.rows) == (_form(case, k, which), slice(None))
+    got, form, M = _refuting(L, dec)
+    assert got == which
     if which == "Vk":  # the witness clears the denominator of y/x
-        assert any(e.rat.denominator.degree() > 0 for e in ref.form.elements)
+        assert any(e.rat.denominator.degree() > 0 for e in form.elements)
     p = witness(L, decision=dec)
-    assert L.value(p) < 0
+    assert p is dec.witness and L.value(p) < 0
     # p is the failing form read backwards: L(p) = g^T M g up to rounding
-    M = ref.matrix.known()
     g = np.linalg.eigh(M)[1][:, 0]
-    assert abs(L.value(p) - g @ M @ g) <= _rounding_bound(p, L)
+    assert abs(L.value(p) - g @ M @ g) <= rounding_bound(p, L)
     _assert_nonnegative_on_curve(p, case)
-
-
-def _rounding_bound(p, L):
-    """n * u * sum |p_m beta_m|, n the number of terms of p, u = 2^-53."""
-    return len(p.coeffs) * 2.0**-53 * sum(abs(c * L.beta[m]) for m, c in p.coeffs.items())
 
 
 def _assert_nonnegative_on_curve(p, case):
@@ -375,10 +385,10 @@ def test_witness_is_rank_one_certificate(build):
     L = MomentSequence(case, k, AtomicMeasure(atoms).moments(k))
     dec = decide(L)
     assert dec.verdict == "NotMomentFunctional"
-    ref = dec.refutation
-    assert ref.form is _form(case, k, which)
+    got, _, M = _refuting(L, dec)
+    assert got == which
     p = witness(L, decision=dec)
-    g = np.linalg.eigh(ref.matrix.known())[1][:, 0]
+    g = np.linalg.eigh(M)[1][:, 0]
     labels = {w: list(_form(case, k, w).labels) for w in ("Bk", "Vk")}
     grams = {w: SymmetricForm(lab, np.zeros((len(lab), len(lab)))) for w, lab in labels.items()}
     grams[which] = SymmetricForm(labels[which], np.outer(g, g))
