@@ -1227,30 +1227,23 @@ def _normalize_reducible(p: BivarPoly):
     if _match_up_to_scale(p, BivarPoly({(0, 1): 1.0, (2, 1): -1.0})):
         return make_case("P28", {}), AffineMap(a=0.0, b=1.0, c=0.0, d=0.5, e=0.0, f=-0.5)
     if abs(g(1, 0)) < 1e-12 * lead and abs(g(1, 1)) < 1e-12 * lead and abs(g(2, 0)) > 0:
-        return _normalize_mixed(p, g(0, 0), g(0, 1), g(2, 0), g(0, 2), lead)
+        return _normalize_mixed(g(0, 0), g(0, 1), g(2, 0), g(0, 2), lead)
     raise Unsupported("reducible cubic outside the recognized shapes")
 
 
-def _normalize_mixed(p, c0, ay, b, cy, lead):
+def _normalize_mixed(c0, ay, b, cy, lead):
     """Scale y*(c0 + ay*y + b*x^2 + cy*y^2) onto a canonical mixed case.
 
-    The point map is (x, y) -> (lam*x, mu*y); candidate sign choices are
-    enumerated and the winner is certified by the sampled pushforward.
+    The point map is (x, y) -> (lam*x, mu*y).  The input and every target
+    case are even in x, so the sign of lam does not matter; normalize
+    certifies the map by the sampled pushforward.
     """
 
     def try_case(cid, params, lam, mu):
         try:
-            case = make_case(cid, params)
+            return make_case(cid, params), AffineMap(a=lam, e=mu)
         except InvalidParams:
             return None
-        for la in (lam, -lam):
-            amap = AffineMap(a=la, e=mu)
-            try:
-                _verify_map(case, amap, p)
-                return case, amap
-            except Unsupported:
-                continue
-        return None
 
     if abs(c0) < 1e-12 * lead:
         if abs(cy) < 1e-12 * lead:

@@ -7,10 +7,12 @@ record (Form) whose sparse arrays map the moments to its entries; decide,
 certify and witness all read that one record.  The engine evaluates the
 moment matrix and the localizing matrix (three matrices for the
 non-real-intersection cases), then dispatches: positive definiteness
-settles the nonsingular problem, and the per-case singular branches use
-rank restrictions on the univariate lift, the one-point-mass split at the
-isolated point, or the unique degree-(2k+2) extension on the smooth
-Weierstrass forms.
+settles the nonsingular problem.  Singular psd data on a constructive case
+is decided in one routine (_singular): the case's rank theorem on the
+univariate lift, then a measure read off a flat completion of the lift that
+reproduces the moments.  P5 runs it on L and on L minus a point mass at its
+isolated point; the smooth Weierstrass forms use the unique degree-(2k+2)
+extension.
 """
 
 from __future__ import annotations
@@ -356,7 +358,7 @@ class _Lift:
     decomposition of its block D that avoids the unknown pair, taken on first
     use: the pd and psd completion intervals and P5's Schur data read it.
 
-    The singular branches, the root check, the constructive fallback and
+    The singular routine (its rank checks, root check and measure) and
     extraction all read this record (a passing Decision carries it to
     extract); a point-mass shift of P5 is another functional, whose record
     decomposes its own D.
@@ -428,62 +430,32 @@ def decide(L: MomentSequence, opts: DecideOptions | None = None) -> Decision:
     # the lift of a constructive case: every branch below reads this one assembly
     lift = _Lift(L, tol) if case.is_constructive() else None
     if mb_pd and mv_pd:
-        dec = Decision("MomentFunctional", checks, lift=lift)
-        if lift is not None:
-            ivl = lift.completion.pd
+        ivl = None if lift is None else lift.completion.pd
+        if ivl is not None:
             checks.append(Check("completion_interval", "interval",
                                 not ivl.empty, ivl.width if not ivl.empty else -1.0))
-            dec.completion_interval = ivl
-            if ivl.empty:
-                dec.verdict = "Inconclusive"
-                dec.note = "pd checks passed but no pd completion was found"
+        note = ""
         if vk.partial:
-            dec.verdict = "Inconclusive"
-            dec.note = ("necessary conditions only: the localizing basis for this case "
-                        "is missing its Riemann-Roch element")
-        return dec
+            note = ("necessary conditions only: the localizing basis for this case "
+                    "is missing its Riemann-Roch element")
+        elif ivl is not None and ivl.empty:
+            note = "pd checks passed but no pd completion was found"
+        return Decision("Inconclusive" if note else "MomentFunctional", checks,
+                        completion_interval=ivl, note=note, lift=lift)
 
     # singular routes
     if route == "elliptic":
         return _decide_elliptic_singular(L, MB, mb, MV, checks, tol)
-    if route == "lift":
-        dec = _decide_lift_singular(lift, checks, tol)
-        if dec.verdict != "Inconclusive":
-            return dec
-        return _constructive_fallback(lift, dec.details) or dec
-    if route == "fallback":
-        dec = _constructive_fallback(lift, checks)
+    if lift is not None:
+        dec = _singular(lift, checks, tol)
         if dec is not None:
             return dec
+    if route == "lift":
+        return Decision("Inconclusive", checks,
+                        note="psd but the singular rank conditions fail; by the case theorem "
+                             "this indicates no representing measure (reported conservatively)")
     return Decision("Inconclusive", checks,
                     note="borderline psd data; no singular theory implemented for this case")
-
-
-def _constructive_fallback(lift, checks, o_weight=0.0, work=None):
-    """Certify borderline psd data by exhibiting a verified measure.
-
-    For the constructively solved cases an extraction that reproduces the
-    moments is a proof of existence regardless of eigenvalue margins.  The
-    measure is recovered from ``work``, the lift of L - o_weight * delta_0
-    (``lift`` itself, the lift of L, when no point mass is split off).
-    """
-    from . import measure as _measure
-
-    L = lift.L
-    try:
-        mu = _measure._extract_from_lift(L, work or lift, o_weight)
-    except Exception:
-        return None
-    resid = _measure.verify(mu, L)
-    checks = list(checks)
-    checks.append(Check("constructive_witness", "residual", resid < 1e-6,
-                        -resid))
-    if resid >= 1e-6:
-        return None
-    return Decision("MomentFunctional", checks, completion_interval=lift.completion.psd,
-                    note="borderline margins certified by an explicitly recovered measure",
-                    o_weight=o_weight, singular_branch="constructive_witness",
-                    lift=work or lift)
 
 
 def _refuted(L, checks, form: Form, M: SymmetricForm, rows, name):
@@ -540,12 +512,56 @@ def _decide_v2(L, MB, mb, checks, tol):
             borderline = True
     if ok and not borderline:
         return Decision("MomentFunctional", checks)
-    dec = Decision("Inconclusive", checks)
-    dec.note = "singular data on a reducible case the theory leaves open"
-    return dec
+    return Decision("Inconclusive", checks,
+                    note="singular data on a reducible case the theory leaves open")
 
 
-# -- constructive singular branches (rank restrictions on the lift) ---------
+# -- constructive singular data: the rank theorem, then a verified measure ---
+
+
+def _singular(lift, checks, tol, work=None, o_weight=0.0, prefix=""):
+    """Decide singular psd data on a constructive case; the passing Decision or None.
+
+    ``work`` is the lift of L - o_weight * delta_0 (``lift`` itself, the lift
+    of L, when no point mass is split off).  On a case with a rank theory
+    (route lift or isolated) the rank restrictions and the record's extra
+    lift check run on ``work``; with both sides psd they pass with branch
+    ``prefix`` + rank_B or rank_V.  Otherwise a measure read off a flat
+    completion of ``work`` that reproduces L to 1e-6 proves existence
+    regardless of eigenvalue margins (branch constructive_witness; its check
+    is kept only on a pass).  The checks on a ``work`` passed in are named
+    after the prefix: rank_restriction_B_lambda0 for prefix lambda0:.
+    """
+    from . import measure
+
+    L = lift.L
+    tag = "" if work is None else "_" + prefix.rstrip(":")
+    work = lift if work is None else work
+    if L.case.record.route in ("lift", "isolated"):
+        name, root = L.case.record.lift_check(L.case.params) or (None, None)
+        (okB, okV, *ok_first), sides = _rank_restrictions(
+            work, checks, tol, tag, first=name if root is None else None)
+        passed = ((okB or okV) and all(ok_first)
+                  and all(linalg.psd_margin(S) >= -tol.psd for S in sides))
+        if root is not None:
+            ok_root, margin = _root_avoidance(work, root)
+            checks.append(Check(name, "root-avoidance", ok_root, margin))
+            passed = passed and ok_root
+        if passed:
+            return Decision("MomentFunctional", checks, completion_interval=work.completion.psd,
+                            o_weight=o_weight, lift=work,
+                            singular_branch=prefix + ("rank_B" if okB else "rank_V"))
+    try:
+        mu = measure._extract_from_lift(L, work, o_weight)
+    except (measure.ExtractionFailed, ArithmeticError, ValueError):  # LinAlgError is a ValueError
+        return None
+    resid = measure.verify(mu, L)
+    if resid >= 1e-6:
+        return None
+    checks.append(Check("constructive_witness", "residual", True, -resid))
+    return Decision("MomentFunctional", checks, completion_interval=work.completion.psd,
+                    note="borderline margins certified by an explicitly recovered measure",
+                    o_weight=o_weight, singular_branch="constructive_witness", lift=work)
 
 
 def _rank_restrictions(lift, checks, tol, tag="", first=None):
@@ -555,8 +571,9 @@ def _rank_restrictions(lift, checks, tol, tag="", first=None):
     the lift without the row that only B_k has.  Each side must keep its
     rank when the row the case record names (``rank_drops``; by default the
     last one) is dropped as well; ``first`` names one more check, on the B
-    side without its first row.  Appends the checks, B and V then
-    ``first``, and returns their verdicts and the two side matrices.
+    side without its first row.  Both sides must also be psd, which the
+    caller tests on the side matrices returned.  Appends the checks, B and
+    V then ``first``, and returns their verdicts and the two side matrices.
     """
     L, PM = lift.L, lift.form
     bases = combined_lift(L.case, L.k)
@@ -574,30 +591,6 @@ def _rank_restrictions(lift, checks, tol, tag="", first=None):
         oks.append(ranks[s] == r_sub)
         checks.append(Check(name, "rank-eq", oks[-1], float(r_sub - ranks[s])))
     return oks, sides
-
-
-def _decide_lift_singular(lift, checks, tol):
-    """Singular branches for P4, P6 and P12 via lift-basis rank equalities.
-
-    The record may ask for one more check: a rank restriction that also
-    drops the first row, or avoidance of a root.
-    """
-    case = lift.L.case
-    name, root = case.record.lift_check(case.params) or (None, None)
-    (okA, okB, *okU), _ = _rank_restrictions(lift, checks, tol,
-                                             first=name if root is None else None)
-    passed = (okA or okB) and all(okU)
-    branch = "rank_B" if okA else ("rank_V" if okB else "")
-    if root is not None:
-        ok_root, margin = _root_avoidance(lift, root)
-        checks.append(Check(name, "root-avoidance", ok_root, margin))
-        passed = passed and ok_root
-    if passed:
-        return Decision("MomentFunctional", checks, completion_interval=lift.completion.psd,
-                        singular_branch=branch, lift=lift)
-    return Decision("Inconclusive", checks,
-                    note="psd but the singular rank conditions fail; by the case theorem "
-                         "this indicates no representing measure (reported conservatively)")
 
 
 def _root_avoidance(lift, rd):
@@ -623,31 +616,17 @@ def _p5_shift(lift, lam):
     return _Lift(lift.L.perturbed({(0, 0): -lam}), lift.tol) if lam else lift
 
 
-def _p5_no_origin_singular(lift, checks, tol, tag=""):
-    """Rank conditions of the measure-avoiding-the-origin theorem."""
-    (okA, okB), sides = _rank_restrictions(lift, checks, tol, tag)
-    okP = all(linalg.psd_margin(S) >= -tol.psd for S in sides)
-    return okP and (okA or okB), ("rank_B" if okA else "rank_V" if okB else "")
-
-
 def _p5_lambda0(lift, lam0, checks, tol):
     """The lambda0 branch: a point mass max(lam0, 0) at the origin, then the
-    rank conditions of a measure avoiding it on the shifted lift.
-
-    Returns (the passing Decision or None, the shifted lift); the shift is
-    None, and nothing is tried, when lam0 is clearly negative.
-    """
+    singular routine on the lift of L minus it; None when lam0 is clearly
+    negative (nothing is tried) or the routine fails."""
     scale = lift.L.scale()
     checks.append(Check("lambda0_nonneg", "pd", lam0 >= -tol.psd * scale, lam0 / scale))
     if lam0 < -tol.psd * scale:
-        return None, None
+        return None
     lam = max(lam0, 0.0)
-    shifted = _p5_shift(lift, lam)
-    ok, br = _p5_no_origin_singular(shifted, checks, tol, tag="_lambda0")
-    if not ok:
-        return None, shifted
-    return Decision("MomentFunctional", checks, o_weight=lam, singular_branch=f"lambda0:{br}",
-                    lift=shifted), shifted
+    return _singular(lift, checks, tol, work=_p5_shift(lift, lam), o_weight=lam,
+                     prefix="lambda0:")
 
 
 def _decide_p5(L, MB, mb, checks, tol):
@@ -694,7 +673,7 @@ def _decide_p5(L, MB, mb, checks, tol):
             w = max(0.5 * (sigma1 - sigma2), 0.0)
             return Decision("MomentFunctional", checks, o_weight=w,
                             singular_branch="origin_split", lift=_p5_shift(lift, w))
-        dec, _ = _p5_lambda0(lift, sigma1, checks, tol)
+        dec = _p5_lambda0(lift, sigma1, checks, tol)
         if dec is not None:
             return dec
         # all three branches failed; with no witness, not even clear margins refute
@@ -707,22 +686,13 @@ def _decide_p5(L, MB, mb, checks, tol):
 
     # singular moment matrix: prefer a measure avoiding the isolated point,
     # then the lambda0 point-mass branch of the singular theorem
-    ok0, br0 = _p5_no_origin_singular(lift, checks, tol, tag="")
-    if ok0:
-        return Decision("MomentFunctional", checks, singular_branch=f"no_origin:{br0}",
-                        lift=lift)
-    dec = _constructive_fallback(lift, checks)
+    dec = (_singular(lift, checks, tol, prefix="no_origin:")
+           or _p5_lambda0(lift, sigma1, checks, tol))
     if dec is not None:
         return dec
-    dec, shifted = _p5_lambda0(lift, sigma1, checks, tol)
-    if dec is not None:
-        return dec
-    if shifted is None:
+    if sigma1 < -tol.psd * scale:
         return Decision("Inconclusive", checks,
                         note="singular moment matrix with negative point-mass weight")
-    dec = _constructive_fallback(lift, checks, o_weight=max(sigma1, 0.0), work=shifted)
-    if dec is not None:
-        return dec
     return Decision("Inconclusive", checks,
                     note="singular isolated-point data outside the theorem branches")
 
@@ -889,8 +859,7 @@ def _decide_elliptic_singular(L, MB, mb, MV, checks, tol):
     checks.append(Check("extension_moment_psd", "psd", m1 >= -tol.psd, m1))
     checks.append(Check("extension_localizing_psd", "psd", m2 >= -tol.psd, m2))
     if m1 >= -tol.psd and m2 >= -tol.psd:
-        dec = Decision("MomentFunctional", checks)
-        dec.singular_branch = f"elliptic_extension:{branch}"
-        return dec
+        return Decision("MomentFunctional", checks,
+                        singular_branch=f"elliptic_extension:{branch}")
     failed = "extension_moment_psd" if m1 < -tol.psd else "extension_localizing_psd"
     return _unrefuted(checks, "the unique extension fails positivity", failed, tol.psd)

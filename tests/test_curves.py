@@ -244,9 +244,9 @@ class TestNormalize:
         _check_pushforward(p, case, amap)
 
     def test_reducible_map_verified_once(self, monkeypatch):
-        """normalize verifies a P26 or catalog (P27) map once, and every input
-        of this class ends as it did when the reducible branches also verified
-        their own map: same case, map and exception."""
+        """normalize verifies a P26, catalog (P27) or mixed (P14, P19) map
+        once, and every input of this class ends as it did when the reducible
+        branches also verified their own map: same case, map and exception."""
         from tmp3 import curves
 
         real_verify, real_reducible = curves._verify_map, curves._normalize_reducible
@@ -269,8 +269,9 @@ class TestNormalize:
             return case.id, dict(case.params), amap
 
         monkeypatch.setattr(curves, "_verify_map", counting)
+        mixed = [(p, cid) for p, cid in FAMILIES if cid in ("P14", "P19")]
         for p, cid in [(_M(0, 1) * (_M(0, 1) + _C(1.0)) * (_M(0, 1) + _C(2.0)), "P26"),
-                       (_M(2, 1, 2.0) - _M(0, 3, 2.0), "P27")]:
+                       (_M(2, 1, 2.0) - _M(0, 3, 2.0), "P27"), *mixed]:
             calls.clear()
             assert normalize(p)[0].id == cid and calls == [cid]
 

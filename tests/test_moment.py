@@ -577,19 +577,33 @@ def test_t_action_matches_reference(cid, params):
         assert np.max(np.abs(B - B.T)) <= 1e-8 * np.max(np.abs(B))
 
 
-#: (case, params, k, atoms, seed, mass at the origin, verdict, branch): one
-#: instance per way through the lift
+_PD = ("ideal_vanishing", "moment_matrix_pd", "localizing_matrix_pd")
+_P5 = ("ideal_vanishing", "moment_matrix_pd", "schur_block_psd", "b_in_range")
+_RANK = ("rank_restriction_B", "rank_restriction_V")
+
+#: (case, params, k, atoms, seed, mass at the origin, verdict, branch, the
+#: decision's check names in order): one instance per way through the lift
 LIFT_ROUTES = [
-    ("P4", {}, 2, 2, 0, 0.0, "MomentFunctional", "rank_B"),
-    ("P6", P6_VARIANTS[0], 3, 10, 0, 0.0, "MomentFunctional", "constructive_witness"),
-    ("P6", P6_VARIANTS[1], 4, 13, 0, 0.0, "Inconclusive", ""),  # the fallback fails too
-    ("P12", CASE_PARAMS["P12"], 3, 9, 1, 0.0, "MomentFunctional", "constructive_witness"),
-    ("P3", {}, 2, 2, 0, 0.0, "MomentFunctional", "constructive_witness"),
-    ("P13", {}, 2, 2, 0, 0.0, "MomentFunctional", "constructive_witness"),
-    ("P5", {}, 2, 6, 0, 0.0, "MomentFunctionalOnNonIsolated", "nonsingular"),
-    ("P5", {}, 2, 6, 1, 0.0, "MomentFunctional", "constructive_witness"),
-    ("P5", {}, 2, 1, 0, 0.5, "MomentFunctional", "lambda0:rank_B"),  # shifts L
-    ("P5", {}, 2, 5, 0, 0.5, "MomentFunctional", "origin_split"),  # shifts L
+    ("P4", {}, 2, 2, 0, 0.0, "MomentFunctional", "rank_B", _PD + _RANK),
+    ("P6", P6_VARIANTS[0], 3, 10, 0, 0.0, "MomentFunctional", "constructive_witness",
+     _PD + _RANK + ("constructive_witness",)),
+    ("P6", P6_VARIANTS[1], 4, 13, 0, 0.0, "Inconclusive", "",  # the measure fails too
+     _PD + _RANK + ("rank_restriction_drop_xk",)),
+    ("P12", CASE_PARAMS["P12"], 3, 9, 1, 0.0, "MomentFunctional", "constructive_witness",
+     _PD + _RANK + ("constructive_witness",)),
+    ("P3", {}, 2, 2, 0, 0.0, "MomentFunctional", "constructive_witness",
+     _PD + ("constructive_witness",)),
+    ("P13", {}, 2, 2, 0, 0.0, "MomentFunctional", "constructive_witness",
+     _PD + ("constructive_witness",)),
+    ("P5", {}, 2, 6, 0, 0.0, "MomentFunctionalOnNonIsolated", "nonsingular",
+     _P5 + ("sigma2_positive",)),
+    ("P5", {}, 2, 6, 1, 0.0, "MomentFunctional", "constructive_witness",
+     _P5 + _RANK + ("constructive_witness",)),
+    ("P5", {}, 2, 1, 0, 0.5, "MomentFunctional", "lambda0:rank_B",  # shifts L
+     _P5 + _RANK + ("lambda0_nonneg", "rank_restriction_B_lambda0",
+                    "rank_restriction_V_lambda0")),
+    ("P5", {}, 2, 5, 0, 0.5, "MomentFunctional", "origin_split",  # shifts L
+     _P5 + ("sigma2_positive", "sigma1_exceeds_minus_sigma2")),
 ]
 
 
@@ -599,13 +613,16 @@ def _block_d(PM):
     return PM.entries[np.ix_(rest, rest)]
 
 
-@pytest.mark.parametrize("cid,params,k,n,seed,w0,verdict,branch", LIFT_ROUTES)
+@pytest.mark.parametrize("cid,params,k,n,seed,w0,verdict,branch",
+                         [row[:-1] for row in LIFT_ROUTES])
 def test_lift_assembled_once_per_functional(monkeypatch, cid, params, k, n, seed, w0,
                                             verdict, branch):
     """decide followed by extract assembles the lifted matrix of each functional
     (L, or a point-mass shift of it on P5) once, and each lift record
     decomposes its own block D at most once: one eigvalsh and at most one
-    pseudo-inverse per record, also when a shift holds an equal D."""
+    pseudo-inverse per record, also when a shift holds an equal D.  The
+    checks come in the order of the steps: the rank checks before
+    constructive_witness, and lambda0_nonneg between P5's two tries."""
     case = make_case(cid, params)
     mu = generate_measure(case, n, k, seed=seed)
     if w0:
@@ -638,6 +655,9 @@ def test_lift_assembled_once_per_functional(monkeypatch, cid, params, k, n, seed
     monkeypatch.setattr(linalg, "pinv_cutoff", counting_pinv)
     dec = decide(L)
     assert (dec.verdict, dec.singular_branch) == (verdict, branch)
+    row = (cid, params, k, n, seed, w0, verdict, branch)
+    assert tuple(c.name for c in dec.details) == next(r[-1] for r in LIFT_ROUTES
+                                                      if r[:-1] == row)
     if dec.passed():
         extract(L, decision=dec)
         assert any(PM is dec.lift.form for PM in forms)
@@ -657,6 +677,32 @@ def test_lift_assembled_once_per_functional(monkeypatch, cid, params, k, n, seed
         assert n_eig == same and n_pinv <= n_eig
     if branch in ("lambda0:rank_B", "origin_split"):
         assert len(forms) == 2 and np.array_equal(_block_d(forms[0]), _block_d(forms[1]))
+
+
+def test_passing_decision_reports_the_interval_of_its_lift():
+    """A passing decision that carries a lift reports that lift's completion
+    interval: the bounds of its psd interval (a pd pass reports the open pd
+    interval, whose bounds are the same).  The grid is that of
+    tools/atom_census.py at k = 2..4, n in {k, 2k, 3k+1}, seeds 1-2."""
+    corpus = bench_corpus()
+    labels = [label for label, _, _ in corpus.CASES]
+    seen = set()
+    for label, cid, params in corpus.CASES:
+        if cid not in corpus.CONSTRUCTIVE:
+            continue
+        case = make_case(cid, params)
+        for k in (2, 3, 4):
+            for n in (k, 2 * k, 3 * k + 1):
+                for seed in (1, 2):
+                    mu = generate_measure(case, n, k, seed=[seed, labels.index(label), k, n])
+                    dec = decide(MomentSequence(case, k, mu.moments(k)))
+                    if not dec.passed() or dec.lift is None:
+                        continue
+                    ivl, psd = dec.completion_interval, dec.lift.completion.psd
+                    assert ivl is not None and not psd.empty, (label, k, n, seed)
+                    assert (ivl.lo, ivl.hi) == (psd.lo, psd.hi), (label, k, n, seed)
+                    seen.add(dec.singular_branch.split(":")[0])
+    assert {"", "rank_B", "constructive_witness", "no_origin"} <= seen, seen
 
 
 def test_p5_origin_split_extracts():
@@ -687,7 +733,7 @@ def test_decide_tolerance_reaches_the_lift():
     """DecideOptions(tol=...) moves the lift's completion intervals too: a P3
     functional a 1e-9 point mass below a genuine measure has an empty psd
     interval at the default tolerance and a nonempty one at tol.psd = 1e-6,
-    where the constructive fallback certifies it."""
+    where the singular routine certifies it by a verified measure."""
     case = make_case("P3")
     mu = generate_measure(case, 3, 2, seed=0)
     z = mu.atoms[2]
