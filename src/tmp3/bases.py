@@ -29,7 +29,6 @@ class KTooSmall(ValueError):
 class Basis:
     case: CurveCase
     k: int
-    space: str  # "Bk" | "Vk" | "Rk1"
     elements: tuple
     partial: bool = False  # P10/P11: one localizing element is not computed
 
@@ -55,7 +54,7 @@ def _basis_Bk(case, k):
     _check_k(case, k)
     els = case.record.bk(case, k)
     assert len(els) == 3 * k, (case.id, k, len(els))
-    return Basis(case, k, "Bk", tuple(els))
+    return Basis(case, k, tuple(els))
 
 
 def basis_Vk(case: CurveCase, k: int) -> Basis:
@@ -65,7 +64,7 @@ def basis_Vk(case: CurveCase, k: int) -> Basis:
         raise NotApplicable(f"{case.id} uses the two-factor localizing spaces; see basis_Rk1")
     bk = basis_Bk(case, k).elements
     els = rule(case, k, bk)
-    return Basis(case, k, "Vk", tuple(els), partial=len(els) < len(bk))
+    return Basis(case, k, tuple(els), partial=len(els) < len(bk))
 
 
 def basis_Rk1(case: CurveCase, k: int) -> Basis:
@@ -73,7 +72,7 @@ def basis_Rk1(case: CurveCase, k: int) -> Basis:
         raise NotApplicable(f"{case.id} is not a non-real-intersection case")
     _check_k(case, k)
     els = [BasisElement.monomial(i, j) for i, j in _pattern_ymajor(k - 1)]
-    return Basis(case, k, "Rk1", tuple(els))
+    return Basis(case, k, tuple(els))
 
 
 # ---------------------------------------------------------------------------

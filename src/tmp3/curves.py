@@ -406,14 +406,15 @@ def _monos(pattern):
     return lambda case, k: [BasisElement.monomial(i, j) for i, j in pattern(k)]
 
 
-def _pattern_weier(k):
-    """1, x, y, x^2, xy, y^2, ..., x^2 y^(d-2), x y^(d-1), y^d."""
-    out = [(0, 0), (1, 0), (0, 1)]
-    if k >= 2:
-        out += [(2, 0), (1, 1), (0, 2)]
-    for d in range(3, k + 1):
-        out += [(2, d - 2), (1, d - 1), (0, d)]
-    return out
+def _graded(per_degree):
+    """The pattern 1, x, y, then the three exponent pairs per_degree(d) for d = 2..k."""
+    return lambda k: [(0, 0), (1, 0), (0, 1)] + [e for d in range(2, k + 1) for e in per_degree(d)]
+
+
+_pattern_weier = _graded(lambda d: ((2, d - 2), (1, d - 1), (0, d)))
+_pattern_xxy = _graded(lambda d: ((d, 0), (d - 1, 1), (0, d)))
+_pattern_xmajor = _graded(lambda d: ((d, 0), (d - 1, 1), (d - 2, 2)))
+_pattern_ymajor = _graded(lambda d: ((d, 0), (1, d - 1), (0, d)))
 
 
 def _pattern_xcol(k):
@@ -423,32 +424,6 @@ def _pattern_xcol(k):
         out += [(j, 0), (j, 1)]
     out.append((0, 0))
     out += [(0, j) for j in range(1, k + 1)]
-    return out
-
-
-def _pattern_xxy(k):
-    """1, x, y, x^2, xy, y^2, x^3, x^2 y, y^3, ..., x^d, x^(d-1)y, y^d."""
-    out = [(0, 0), (1, 0), (0, 1)]
-    if k >= 2:
-        out += [(2, 0), (1, 1), (0, 2)]
-    for d in range(3, k + 1):
-        out += [(d, 0), (d - 1, 1), (0, d)]
-    return out
-
-
-def _pattern_xmajor(k):
-    """1, x, y, x^2, xy, y^2, ..., x^d, x^(d-1)y, x^(d-2)y^2."""
-    out = [(0, 0), (1, 0), (0, 1)]
-    for d in range(2, k + 1):
-        out += [(d, 0), (d - 1, 1), (d - 2, 2)]
-    return out
-
-
-def _pattern_ymajor(k):
-    """1, x, y, x^2, xy, y^2, ..., x^d, x y^(d-1), y^d."""
-    out = [(0, 0), (1, 0), (0, 1)]
-    for d in range(2, k + 1):
-        out += [(d, 0), (1, d - 1), (0, d)]
     return out
 
 
@@ -624,14 +599,16 @@ def _lift_powers(element, drops):
     return lift
 
 
+def _mono_of_deg_c(d):
+    """The unique monomial x^i y^j with i <= 2 and curve degree 2i + 3j = d (d != 1)."""
+    i = (0, 2, 1)[d % 3]
+    return i, (d - 2 * i) // 3
+
+
 def _p3_lift_element(w):
     if w == 1:
         return BasisElement.rational(_M(0, 1), _M(1, 0), "y/x")
-    if w % 3 == 0:
-        return BasisElement.monomial(0, w // 3)
-    if w % 3 == 2:
-        return BasisElement.monomial(1, (w - 2) // 3)
-    return BasisElement.monomial(2, (w - 4) // 3)
+    return BasisElement.monomial(*_mono_of_deg_c(w))
 
 
 def _lift_chain(sign):
@@ -873,12 +850,6 @@ _CATALOG = {r.id: r for r in (
            ("f(-1) = g(-1)", "f(1) = h(1)", "g(0) = h(0)")),
        bk=_monos(_pattern_xmajor), vk=_v_p29),
 )}
-
-#: ids handled by the nonnegative-line/conic sign-flag theorem
-CHI_CASES = tuple(c for c in CASE_IDS if _CATALOG[c].chi1 is not None)
-
-#: ids with a constructive univariate lift (atom extraction supported)
-CONSTRUCTIVE_CASES = tuple(c for c in CASE_IDS if _CATALOG[c].lift is not None)
 
 
 # ---------------------------------------------------------------------------

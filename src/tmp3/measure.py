@@ -73,12 +73,12 @@ def extract(L: MomentSequence, opts: ExtractOptions | None = None,
         raise ExtractionFailed(f"decision was {dec.verdict}; nothing to extract")
     if dec.lift is None:
         raise ExtractionFailed("the decision carries no lifted matrix")
-    return _extract_from_lift(L, dec.lift, dec.o_weight, opts)
+    return _extract_from_lift(dec.lift, opts)
 
 
-def _extract_from_lift(L: MomentSequence, work, o_weight=0.0,
-                       opts: ExtractOptions | None = None) -> AtomicMeasure:
-    """A measure for L from ``work``, the lift of L - o_weight * delta_0.
+def _extract_from_lift(work, opts: ExtractOptions | None = None) -> AtomicMeasure:
+    """A measure for ``work.target`` from ``work``, the lift of it minus
+    ``work.o_weight`` * delta_0.
 
     The measures live at the flat completions, the endpoints of the psd
     interval: by default the first endpoint whose measure is accepted
@@ -104,7 +104,7 @@ def _extract_from_lift(L: MomentSequence, work, o_weight=0.0,
     found, errors = [], []
     for v in ((ivl.lo,) if ivl.width == 0.0 else (ivl.lo, ivl.hi)):
         try:
-            found.append(_flat_measure(L, work, v, o_weight))
+            found.append(_flat_measure(work, v))
         except ExtractionFailed as exc:
             errors.append(f"v={v:.6g}: {exc}")
             continue
@@ -133,12 +133,14 @@ def _requested(ivl, opts: ExtractOptions):
     return ivl.lo + frac * ivl.width
 
 
-def _flat_measure(L, work, v, o_weight):
+def _flat_measure(work, v):
     """The measure at the flat completion v of ``work``: the nodes that are not
     excluded parameters, pushed onto the curve and merged where they meet,
-    weighted by a least-squares fit to the moments of L - o_weight * delta_0,
-    with o_weight at the origin.  Accepted when every weight is positive and
-    the moments of L are reproduced to 1e-6 (``verify``)."""
+    weighted by a least-squares fit to the moments of ``work.L``, with the
+    split mass ``work.o_weight`` at the origin.  Accepted when every weight is
+    positive and the moments of L = ``work.target`` are reproduced to 1e-6
+    (``verify``)."""
+    L, o_weight = work.target, work.o_weight
     comp = parametrization(L.case).components[0]
     pts = _merged([(comp.x_at(t), comp.y_at(t), 0.0) for t in work.nodes(v)
                    if all(abs(t - ex) >= 1e-6 for ex in comp.excluded_t)])

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .bases import basis_Bk, basis_Rk1, basis_Vk, combined_lift
-from .curves import CurveCase, chi_flags
+from .curves import CurveCase, _mono_of_deg_c, chi_flags
 from .linalg import Interval, SymmetricForm, Tolerances
 from .poly import (_UNIT, BasisElement, BivarPoly, RationalElem, _entry, _factor, _exps,
                    _mon_index, _shifted, normal_low, product_on_curve)
@@ -81,19 +81,34 @@ class Check:
 @dataclass
 class Decision:
     """A verdict with its checks.  It is NotMomentFunctional exactly when
-    ``witness`` is set: p >= 0 on the curve, L(p) confirmed negative (_refuted)."""
+    ``witness`` is set: p >= 0 on the curve, L(p) confirmed negative (_refuted).
+
+    ``lift`` is the payload of extract(), as ``witness`` is witness()'s: on a
+    passing constructive verdict, the lift of L - o_weight * delta_0.  The
+    split mass ``o_weight`` and the ``completion_interval`` are read off it.
+    """
 
     verdict: str  # MomentFunctional | MomentFunctionalOnNonIsolated |
     #              NotMomentFunctional | Inconclusive
     details: list = field(default_factory=list)
-    completion_interval: Interval | None = None
     note: str = ""
     witness: BivarPoly | None = None  # the payload of witness()
-    o_weight: float = 0.0
     singular_branch: str = ""
-    # the payload of extract(), as witness is witness()'s: on a passing
-    # constructive verdict, the lift of L - o_weight * delta_0
     lift: _Lift | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def o_weight(self) -> float:
+        """The point mass split off at P5's isolated point (0 without a lift)."""
+        return 0.0 if self.lift is None else self.lift.o_weight
+
+    @property
+    def completion_interval(self) -> Interval | None:
+        """The lift's pd interval on the pd pass (no singular branch), else its
+        psd interval; None without a lift."""
+        if self.lift is None:
+            return None
+        comp = self.lift.completion
+        return comp.psd if self.singular_branch else comp.pd
 
     @property
     def witness_available(self):
@@ -360,13 +375,18 @@ class _Lift:
 
     The singular routine (its rank checks, root check and measure) and
     extraction all read this record (a passing Decision carries it to
-    extract); a point-mass shift of P5 is another functional, whose record
-    decomposes its own D.
+    extract, and reads its split mass and interval off it).  ``target`` is
+    the functional the measure must reproduce: L itself, or, for a lift that
+    _p5_shift made, the functional L + o_weight * delta_0 it was split from.
+    A shifted record decomposes its own D.
     """
 
-    def __init__(self, L: MomentSequence, tol: Tolerances = linalg.DEFAULT_TOL):
+    def __init__(self, L: MomentSequence, tol: Tolerances = linalg.DEFAULT_TOL,
+                 o_weight: float = 0.0, target: MomentSequence | None = None):
         self.L = L
         self.tol = tol
+        self.o_weight = o_weight
+        self.target = L if target is None else target
         self.form = lift_matrix(L)
 
     @cached_property
@@ -441,13 +461,13 @@ def decide(L: MomentSequence, opts: DecideOptions | None = None) -> Decision:
         elif ivl is not None and ivl.empty:
             note = "pd checks passed but no pd completion was found"
         return Decision("Inconclusive" if note else "MomentFunctional", checks,
-                        completion_interval=ivl, note=note, lift=lift)
+                        note=note, lift=lift)
 
     # singular routes
     if route == "elliptic":
         return _decide_elliptic_singular(L, MB, mb, MV, checks, tol)
     if lift is not None:
-        dec = _singular(lift, checks, tol)
+        dec = _singular(lift, checks)
         if dec is not None:
             return dec
     if route == "lift":
@@ -519,52 +539,47 @@ def _decide_v2(L, MB, mb, checks, tol):
 # -- constructive singular data: the rank theorem, then a verified measure ---
 
 
-def _singular(lift, checks, tol, work=None, o_weight=0.0, prefix=""):
+def _singular(work, checks, prefix=""):
     """Decide singular psd data on a constructive case; the passing Decision or None.
 
-    ``work`` is the lift of L - o_weight * delta_0 (``lift`` itself, the lift
-    of L, when no point mass is split off).  On a case with a rank theory
-    (route lift or isolated) the rank restrictions and the record's extra
-    lift check run on ``work``; with both sides psd they pass with branch
-    ``prefix`` + rank_B or rank_V.  Otherwise a measure read off a flat
-    completion of ``work`` that reproduces L to 1e-6 proves existence
-    regardless of eigenvalue margins (branch constructive_witness; its check
-    is kept only on a pass).  The checks on a ``work`` passed in are named
-    after the prefix: rank_restriction_B_lambda0 for prefix lambda0:.
+    ``work`` is the lift of L - o_weight * delta_0, L its ``target``.  On a
+    case with a rank theory (route lift or isolated) the rank restrictions
+    and the record's extra lift check run on ``work``; with both sides psd
+    they pass with branch ``prefix`` + rank_B or rank_V.  Otherwise a measure
+    read off a flat completion of ``work`` that reproduces L to 1e-6 proves
+    existence regardless of eigenvalue margins (branch constructive_witness;
+    its check is kept only on a pass).  The rank checks of P5's lambda0:
+    branch are named after it: rank_restriction_B_lambda0.
     """
     from . import measure
 
-    L = lift.L
-    tag = "" if work is None else "_" + prefix.rstrip(":")
-    work = lift if work is None else work
-    if L.case.record.route in ("lift", "isolated"):
-        name, root = L.case.record.lift_check(L.case.params) or (None, None)
+    case = work.L.case
+    if case.record.route in ("lift", "isolated"):
+        name, root = case.record.lift_check(case.params) or (None, None)
         (okB, okV, *ok_first), sides = _rank_restrictions(
-            work, checks, tol, tag, first=name if root is None else None)
+            work, checks, "_lambda0" if prefix == "lambda0:" else "",
+            first=name if root is None else None)
         passed = ((okB or okV) and all(ok_first)
-                  and all(linalg.psd_margin(S) >= -tol.psd for S in sides))
+                  and all(linalg.psd_margin(S) >= -work.tol.psd for S in sides))
         if root is not None:
             ok_root, margin = _root_avoidance(work, root)
             checks.append(Check(name, "root-avoidance", ok_root, margin))
             passed = passed and ok_root
         if passed:
-            return Decision("MomentFunctional", checks, completion_interval=work.completion.psd,
-                            o_weight=o_weight, lift=work,
+            return Decision("MomentFunctional", checks, lift=work,
                             singular_branch=prefix + ("rank_B" if okB else "rank_V"))
     try:
-        mu = measure._extract_from_lift(L, work, o_weight)
+        mu = measure._extract_from_lift(work)
     except (measure.ExtractionFailed, ArithmeticError, ValueError):  # LinAlgError is a ValueError
         return None
-    resid = measure.verify(mu, L)
-    if resid >= 1e-6:
-        return None
+    resid = measure.verify(mu, work.target)
     checks.append(Check("constructive_witness", "residual", True, -resid))
-    return Decision("MomentFunctional", checks, completion_interval=work.completion.psd,
+    return Decision("MomentFunctional", checks,
                     note="borderline margins certified by an explicitly recovered measure",
-                    o_weight=o_weight, singular_branch="constructive_witness", lift=work)
+                    singular_branch="constructive_witness", lift=work)
 
 
-def _rank_restrictions(lift, checks, tol, tag="", first=None):
+def _rank_restrictions(lift, checks, tag="", first=None):
     """The rank restrictions on the lifted matrix of a functional.
 
     The B side is the lift without the row that only V^(k) has, the V side
@@ -575,7 +590,7 @@ def _rank_restrictions(lift, checks, tol, tag="", first=None):
     caller tests on the side matrices returned.  Appends the checks, B and
     V then ``first``, and returns their verdicts and the two side matrices.
     """
-    L, PM = lift.L, lift.form
+    L, PM, tol = lift.L, lift.form, lift.tol
     bases = combined_lift(L.case, L.k)
     rows = [[i for i in range(PM.size) if i != d] for d in (bases.b_drop, bases.v_drop)]
     sides = [PM.restrict(r).known() for r in rows]
@@ -611,22 +626,21 @@ def _root_avoidance(lift, rd):
 
 
 def _p5_shift(lift, lam):
-    """The lift of L - lam * (evaluation at the isolated point (0,0)); at lam = 0
-    that functional is L, whose lift is ``lift`` itself."""
-    return _Lift(lift.L.perturbed({(0, 0): -lam}), lift.tol) if lam else lift
+    """The lift of L - lam * (evaluation at the isolated point (0,0)), with the
+    split mass lam and the target L; at lam = 0 that functional is L, whose
+    lift is ``lift`` itself.  The only maker of a lift with a split mass."""
+    return _Lift(lift.L.perturbed({(0, 0): -lam}), lift.tol, lam, lift.L) if lam else lift
 
 
-def _p5_lambda0(lift, lam0, checks, tol):
+def _p5_lambda0(lift, lam0, checks):
     """The lambda0 branch: a point mass max(lam0, 0) at the origin, then the
     singular routine on the lift of L minus it; None when lam0 is clearly
     negative (nothing is tried) or the routine fails."""
-    scale = lift.L.scale()
+    scale, tol = lift.L.scale(), lift.tol
     checks.append(Check("lambda0_nonneg", "pd", lam0 >= -tol.psd * scale, lam0 / scale))
     if lam0 < -tol.psd * scale:
         return None
-    lam = max(lam0, 0.0)
-    return _singular(lift, checks, tol, work=_p5_shift(lift, lam), o_weight=lam,
-                     prefix="lambda0:")
+    return _singular(_p5_shift(lift, max(lam0, 0.0)), checks, prefix="lambda0:")
 
 
 def _decide_p5(L, MB, mb, checks, tol):
@@ -664,16 +678,15 @@ def _decide_p5(L, MB, mb, checks, tol):
                             sigma2 / scale))
         if sigma2 > -tol.psd * scale:
             return Decision("MomentFunctionalOnNonIsolated", checks,
-                            completion_interval=comp.psd, singular_branch="nonsingular",
-                            lift=lift)
+                            singular_branch="nonsingular", lift=lift)
         checks.append(Check("sigma1_exceeds_minus_sigma2", "pd",
                             sigma1 > -sigma2 - tol.psd * scale, (sigma1 + sigma2) / scale))
         if sigma1 > -sigma2 - tol.psd * scale:
             # the midpoint of the admissible masses [-sigma2, sigma1]
             w = max(0.5 * (sigma1 - sigma2), 0.0)
-            return Decision("MomentFunctional", checks, o_weight=w,
-                            singular_branch="origin_split", lift=_p5_shift(lift, w))
-        dec = _p5_lambda0(lift, sigma1, checks, tol)
+            return Decision("MomentFunctional", checks, singular_branch="origin_split",
+                            lift=_p5_shift(lift, w))
+        dec = _p5_lambda0(lift, sigma1, checks)
         if dec is not None:
             return dec
         # all three branches failed; with no witness, not even clear margins refute
@@ -686,8 +699,7 @@ def _decide_p5(L, MB, mb, checks, tol):
 
     # singular moment matrix: prefer a measure avoiding the isolated point,
     # then the lambda0 point-mass branch of the singular theorem
-    dec = (_singular(lift, checks, tol, prefix="no_origin:")
-           or _p5_lambda0(lift, sigma1, checks, tol))
+    dec = _singular(lift, checks, prefix="no_origin:") or _p5_lambda0(lift, sigma1, checks)
     if dec is not None:
         return dec
     if sigma1 < -tol.psd * scale:
@@ -702,20 +714,6 @@ def _decide_p5(L, MB, mb, checks, tol):
 
 def _deg_c(i, j):
     return 2 * i + 3 * j
-
-
-def _mono_of_deg_c(d):
-    """The unique monomial x^i y^j with i <= 2 and 2i + 3j = d (d != 1)."""
-    if d == 0:
-        return (0, 0)
-    r = d % 3
-    if r == 0:
-        return (0, d // 3)
-    if r == 2:
-        return (1, (d - 2) // 3)
-    if d < 4:
-        raise ValueError("no monomial of curve-degree 1")
-    return (2, (d - 4) // 3)
 
 
 def _min_degc_kernel_vector(M, elements, tol):
@@ -757,13 +755,6 @@ def _min_degc_kernel_vector(M, elements, tol):
 
 
 @lru_cache(maxsize=512)
-def _curve_degree_reductions(case: CurveCase, k: int):
-    """(d, normal_low of the monomial of curve degree d), d = 0..6k, d != 1."""
-    return tuple((d, normal_low(_M(*_mono_of_deg_c(d)), case))
-                 for d in range(0, 6 * k + 1) if d != 1)
-
-
-@lru_cache(maxsize=512)
 def _extension_reductions(case: CurveCase, k: int):
     """((i, j), normal_low(x^i y^j)) for i + j <= 2k + 2, in graded order."""
     return tuple(((i, d2 - i), normal_low(_M(i, d2 - i), case))
@@ -785,7 +776,8 @@ def _decide_elliptic_singular(L, MB, mb, MV, checks, tol):
     b_els = _form(case, k, "Bk").elements
     v_els = _form(case, k, "Vk").elements
 
-    vals = {d: L.value(p) for d, p in _curve_degree_reductions(case, k)}
+    # the moment of each curve degree d: x^i y^j with i <= 2 is its own normal form
+    vals = {d: L.beta[_mono_of_deg_c(d)] for d in range(6 * k + 1) if d != 1}
 
     extra_residuals = []
     if mb < tol.pd:

@@ -23,11 +23,10 @@ from tmp3.moment import MomentSequence, _form, decide
 from tmp3.poly import UnsupportedCase
 
 
-def _p13_measure(ts, ws, k):
-    """L of the atoms (t, t^3) with weights ws on P13, and its lift."""
+def _p13_lift(ts, ws, k):
+    """The lift of L, the atoms (t, t^3) with weights ws on P13."""
     mu = AtomicMeasure(tuple(Atom(t, t**3, w) for t, w in zip(ts, ws)))
-    L = MomentSequence(make_case("P13"), k, mu.moments(k))
-    return L, moment._Lift(L)
+    return moment._Lift(MomentSequence(make_case("P13"), k, mu.moments(k)))
 
 
 class TestFlatMeasure:
@@ -35,15 +34,15 @@ class TestFlatMeasure:
 
     def test_two_atoms(self):
         # delta_-1 + 2*delta_1 on x = t
-        L, lift = _p13_measure([-1.0, 1.0], [1.0, 2.0], 2)
-        got = sorted((a.x, a.w) for a in _extract_from_lift(L, lift).atoms)
+        lift = _p13_lift([-1.0, 1.0], [1.0, 2.0], 2)
+        got = sorted((a.x, a.w) for a in _extract_from_lift(lift).atoms)
         assert got == [(pytest.approx(-1.0), pytest.approx(1.0)),
                        (pytest.approx(1.0), pytest.approx(2.0))]
 
     def test_single_atom(self):
         c = 0.8
-        L, lift = _p13_measure([c], [1.0], 3)
-        (a,) = _extract_from_lift(L, lift).atoms
+        lift = _p13_lift([c], [1.0], 3)
+        (a,) = _extract_from_lift(lift).atoms
         assert (a.x, a.y, a.w) == (pytest.approx(c), pytest.approx(c**3), pytest.approx(1.0))
 
     def test_roundtrip_four_atoms(self):
@@ -51,17 +50,17 @@ class TestFlatMeasure:
         ts = np.sort(rng.uniform(-2, 2, 4))
         while np.min(np.diff(ts)) < 1e-3:
             ts = np.sort(rng.uniform(-2, 2, 4))
-        L, lift = _p13_measure(ts, rng.uniform(0.5, 1.5, 4), 3)
-        mu = _extract_from_lift(L, lift)
+        lift = _p13_lift(ts, rng.uniform(0.5, 1.5, 4), 3)
+        mu = _extract_from_lift(lift)
         assert len(mu) == 4
         assert np.allclose(sorted(a.x for a in mu.atoms), ts, atol=1e-6)
 
     def test_not_psd(self):
         # a negative mass: the block D is indefinite and no completion is psd
-        L, lift = _p13_measure([0.5, 1.0], [1.0, -1.0], 2)
+        lift = _p13_lift([0.5, 1.0], [1.0, -1.0], 2)
         assert lift.completion.psd.empty
         with pytest.raises(ExtractionFailed, match="no psd completion"):
-            _extract_from_lift(L, lift)
+            _extract_from_lift(lift)
 
     def test_flat_exactness_separated(self):
         rng = np.random.default_rng(5)
@@ -69,8 +68,8 @@ class TestFlatMeasure:
             ts = np.sort(rng.uniform(-2, 2, 3))
             if np.min(np.diff(ts)) < 1e-3:
                 continue
-            L, lift = _p13_measure(ts, rng.uniform(0.3, 1.4, 3), 3)
-            mu = _extract_from_lift(L, lift)
+            lift = _p13_lift(ts, rng.uniform(0.3, 1.4, 3), 3)
+            mu = _extract_from_lift(lift)
             assert np.allclose(sorted(a.x for a in mu.atoms), ts, atol=1e-6)
 
 
@@ -142,21 +141,21 @@ class TestRequestedCompletion:
 
     def test_named_points_combine_the_endpoints(self):
         L, lift = self._lift()
-        ends = [_extract_from_lift(L, lift, opts=ExtractOptions(completion="value",
-                                                                completion_value=v))
+        ends = [_extract_from_lift(lift, opts=ExtractOptions(completion="value",
+                                                             completion_value=v))
                 for v in (lift.completion.psd.lo, lift.completion.psd.hi)]
         assert all(len(mu) <= 6 for mu in ends)
         for mode in ("left", "midpoint", "right"):
-            mu = _extract_from_lift(L, lift, opts=ExtractOptions(completion=mode))
+            mu = _extract_from_lift(lift, opts=ExtractOptions(completion=mode))
             assert verify(mu, L) < 1e-6 and len(mu) <= 12
             assert len(mu) == len(ends[0]) + len(ends[1])
 
     def test_value_outside_the_interval_fails(self):
-        L, lift = self._lift()
+        _, lift = self._lift()
         v = lift.completion.psd.hi + lift.completion.psd.width
         with pytest.raises(ExtractionFailed, match="outside the psd interval"):
-            _extract_from_lift(L, lift, opts=ExtractOptions(completion="value",
-                                                           completion_value=v))
+            _extract_from_lift(lift, opts=ExtractOptions(completion="value",
+                                                        completion_value=v))
 
 
 #: genuine 3k+1-atom data at k = 5, 6 that the monomial-Hankel extraction

@@ -707,8 +707,9 @@ def test_passing_decision_reports_the_interval_of_its_lift():
 
 def test_p5_origin_split_extracts():
     """The point mass split off at the isolated point is the midpoint of the
-    admissible masses [-sigma2, sigma1], and the extraction after it reproduces
-    the moments (a genuine measure plus an atom at the origin)."""
+    admissible masses [-sigma2, sigma1], the decision reports the psd interval
+    of the shifted lift it carries, and the extraction after it reproduces the
+    moments (a genuine measure plus an atom at the origin)."""
     case = make_case("P5")
     split = 0
     for k in (2, 3, 4):
@@ -725,6 +726,10 @@ def test_p5_origin_split_extracts():
                     split += 1
                     assert dec.o_weight > 0.1 * w0, (k, n, seed, w0, dec.o_weight)
                     assert dec.lift.L.beta[(0, 0)] == L.beta[(0, 0)] - dec.o_weight
+                    assert dec.lift.target is L
+                    psd = dec.lift.completion.psd
+                    ivl = dec.completion_interval
+                    assert ivl is not None and (ivl.lo, ivl.hi) == (psd.lo, psd.hi)
                     assert verify(extract(L, decision=dec), L) < 1e-6, (k, n, seed, w0)
     assert split == 162
 

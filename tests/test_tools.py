@@ -36,6 +36,18 @@ def test_outputs_digest_lines(digest, tmp_path):
     assert all(len(r) == 3 for r in cert["residuals"])
 
 
+def test_outputs_digest_p5_point_mass_line(digest, tmp_path):
+    """The P5 point-mass record at k = 2, n = 5, seed 1 splits its mass off
+    at the origin (origin_split) and reports the psd interval of the shifted
+    lift it carries."""
+    seed, rec = next((s, r) for s, r in digest.p5_point_mass_records()
+                     if r["id"] == "P5/k2/n5/point_mass")
+    line = digest.solve_line(rec, seed, tmp_path)
+    assert (line["verdict"], line["branch"]) == ("MomentFunctional", "origin_split")
+    assert line["interval"] is not None and "atoms" in line
+    assert float.fromhex(line["o_weight"]) == pytest.approx(0.5)
+
+
 @pytest.mark.parametrize("label,form", [("P15", "v2"), ("P8", "v1")])
 def test_outputs_digest_cert_kinds(digest, label, form):
     """cert_line on a v2 certificate and on a v1 certificate with a rational

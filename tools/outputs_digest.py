@@ -3,9 +3,10 @@
     PYTHONPATH=src python3 tools/outputs_digest.py > digest.jsonl
 
 Writes one JSON line per instance: for genuine and refuted data (the 31
-benchmark labels, k = 2..6, seeds 1, 2 and 3) the verdict, note, branch, every
-check with its margin, the completion interval, the extracted atoms or the
-extraction error, the witness coefficients, and digests of the
+benchmark labels, k = 2..6, seeds 1, 2 and 3) and for P5 data with a point
+mass at its isolated point (``p5_point_mass_records``) the verdict, note,
+branch, every check with its margin, the completion interval, the extracted
+atoms or the extraction error, the witness coefficients, and digests of the
 ``tmp3 solve --extract`` and ``tmp3 witness`` reports; for each certificate
 (k = 2..6, valid and shifted by +1) both residuals; for every label the
 digest of the ``tmp3 alpha`` report and, at k = 2..6, of the ``tmp3 info``
@@ -31,8 +32,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 import corpus  # noqa: E402
 
-from tmp3 import (BivarPoly, Certificate, MomentSequence, SymmetricForm, decide,  # noqa: E402
-                  extract, make_case, verify_certificate, witness)
+from tmp3 import (Atom, AtomicMeasure, BivarPoly, Certificate, MomentSequence,  # noqa: E402
+                  SymmetricForm, decide, extract, generate_measure, make_case,
+                  verify_certificate, witness)
 from tmp3 import cli  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -103,6 +105,20 @@ def solve_line(rec, seed, tmpdir):
     return line
 
 
+def p5_point_mass_records():
+    """(seed, record) of P5 data that splits a point mass off at the isolated
+    point (branches origin_split and lambda0): a generated measure of n atoms
+    plus 0.5 at (0, 0), for k = 2..6, n = 3k-2..3k+1 and seeds 1, 2 and 3."""
+    case = make_case("P5", {})
+    for k in corpus.KS:
+        for n in range(3 * k - 2, 3 * k + 2):
+            for seed in SEEDS:
+                mu = generate_measure(case, n, k, seed=[seed, k, n])
+                beta = AtomicMeasure(mu.atoms + (Atom(0.0, 0.0, 0.5),)).moments(k)
+                yield seed, {"id": f"P5/k{k}/n{n}/point_mass", "case": "P5", "params": {},
+                             "k": k, "moments": [[i, j, v] for (i, j), v in sorted(beta.items())]}
+
+
 def cert_line(rec):
     case = make_case(rec["case"], rec["params"])
 
@@ -128,6 +144,8 @@ def main():
                 for key in keys:
                     rec = corpus.MAKERS[kind](seed, *key)
                     print(json.dumps(solve_line(rec, seed, tmpdir), sort_keys=True), flush=True)
+        for seed, rec in p5_point_mass_records():
+            print(json.dumps(solve_line(rec, seed, tmpdir), sort_keys=True), flush=True)
     for key in keys:
         print(json.dumps(cert_line(corpus.make_certificate(SEEDS[0], *key)), sort_keys=True),
               flush=True)
