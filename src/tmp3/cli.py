@@ -239,9 +239,8 @@ def cmd_solve(args):
         ]
     if args.extract and dec.passed():
         try:
-            mu = measure.extract(L, extract_opts, decision=dec)
+            mu, report["residual"] = measure.extract_verified(L, extract_opts, decision=dec)
             report["measure"] = measure_to_json(mu)
-            report["residual"] = measure.verify(mu, L)
         except (measure.ExtractionFailed, UnsupportedCase) as exc:
             report["extraction_error"] = str(exc)
     if dec.witness is not None:

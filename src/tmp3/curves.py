@@ -173,13 +173,17 @@ class CurveCase:
 
     def __post_init__(self):
         self.record.validate(self.params)
-        # every cache lookup hashes the key, so it is built once; the hash is
-        # not stored, since a pickled case would carry it to a process whose
-        # string hashes differ
+        # every cache lookup hashes the case, so the key and its hash are
+        # built once; a pickle carries (id, params) alone (__reduce__), since
+        # string hashes differ from process to process
         object.__setattr__(self, "_key", (self.id, tuple(sorted(self.params.items()))))
+        object.__setattr__(self, "_hash", hash(self._key))
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
+
+    def __reduce__(self):
+        return CurveCase, (self.id, self.params)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, CurveCase) and self._key == other._key)

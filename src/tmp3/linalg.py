@@ -86,7 +86,7 @@ class SymmetricForm:
 def _norm(M):
     if M.size == 0:
         return 0.0
-    return float(np.max(np.abs(M)))
+    return float(np.abs(M).max())
 
 
 def psd_margin(M):

@@ -3,7 +3,10 @@
 Extraction runs on the univariate lift: complete the single unknown entry
 at an endpoint of its psd interval, where the lift is flat, read the atoms'
 parameters off the lift's own multiplication operator (moment._Lift.nodes),
-push them onto the curve and fit the weights to the moments.
+push them onto the curve and fit the weights to the moments.  Each endpoint
+is fitted and checked (verify) once: the lift record carries the accepted
+measure with its residual, or the failure, to every later reader -- the
+singular routine of decide, extract and the residual of ``tmp3 solve``.
 """
 
 from __future__ import annotations
@@ -44,12 +47,26 @@ class AtomicMeasure:
         return len(self.atoms)
 
     def moments(self, k) -> dict:
-        beta = {}
-        for d in range(2 * k + 1):
-            for i in range(d + 1):
-                j = d - i
-                beta[(i, j)] = sum(a.w * a.x**i * a.y**j for a in self.atoms)
-        return beta
+        keys = moment._graded_keys(k)
+        if not self.atoms:
+            return dict.fromkeys(keys, 0)
+        return dict(zip(keys, _moment_sums(self.atoms, *moment._graded_exponents(k)).tolist()))
+
+
+def _moment_sums(atoms, I, J):
+    """sum(a.w * a.x**i * a.y**j for a in atoms) for each (i, j) in zip(I, J),
+    bit for bit: one Python power x**e per atom and exponent (numpy's power
+    rounds differently), (w * x^i) * y^j, and the sum over the atoms from 0
+    in their order (np.add.accumulate, which never pairs terms up)."""
+    if not atoms:
+        return np.zeros(len(I))
+    XP = np.array([[a.x**e for e in range(I.max() + 1)] for a in atoms])
+    YP = np.array([[a.y**e for e in range(J.max() + 1)] for a in atoms])
+    W = np.array([a.w for a in atoms])
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = W[:, None] * XP[:, I] * YP[:, J]
+        # a zero row first: the sum starts from 0, which turns a lone -0.0 into 0.0
+        return np.add.accumulate(np.vstack((np.zeros(len(I)), T)))[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +82,13 @@ class ExtractOptions:
 def extract(L: MomentSequence, opts: ExtractOptions | None = None,
             decision: Decision | None = None) -> AtomicMeasure:
     """Recover an atomic representing measure for a constructive case."""
+    return extract_verified(L, opts, decision)[0]
+
+
+def extract_verified(L: MomentSequence, opts: ExtractOptions | None = None,
+                     decision: Decision | None = None) -> tuple:
+    """(extract's measure, its verify residual against the functional that
+    was decided); an endpoint measure's residual is the one its fit kept."""
     case = L.case
     if not case.is_constructive():
         raise UnsupportedCase(f"extraction is not available for {case.id}")
@@ -76,9 +100,9 @@ def extract(L: MomentSequence, opts: ExtractOptions | None = None,
     return _extract_from_lift(dec.lift, opts)
 
 
-def _extract_from_lift(work, opts: ExtractOptions | None = None) -> AtomicMeasure:
-    """A measure for ``work.target`` from ``work``, the lift of it minus
-    ``work.o_weight`` * delta_0.
+def _extract_from_lift(work, opts: ExtractOptions | None = None) -> tuple:
+    """(measure, verify residual) for ``work.target`` from ``work``, the lift
+    of it minus ``work.o_weight`` * delta_0.
 
     The measures live at the flat completions, the endpoints of the psd
     interval: by default the first endpoint whose measure is accepted
@@ -111,9 +135,10 @@ def _extract_from_lift(work, opts: ExtractOptions | None = None) -> AtomicMeasur
         if theta is None:
             return found[0]
     if theta is not None and not errors:
-        parts = [(a.x, a.y, a.w * share) for mu, share in zip(found, (1 - theta, theta))
+        parts = [(a.x, a.y, a.w * share) for (mu, _), share in zip(found, (1 - theta, theta))
                  for a in mu.atoms]
-        return AtomicMeasure(tuple(Atom(x, y, w) for x, y, w in _merged(parts) if w > 0))
+        mu = AtomicMeasure(tuple(Atom(x, y, w) for x, y, w in _merged(parts) if w > 0))
+        return mu, verify(mu, work.target)
     if found and opts.completion != "value":
         return found[0]
     raise ExtractionFailed(
@@ -134,24 +159,49 @@ def _requested(ivl, opts: ExtractOptions):
 
 
 def _flat_measure(work, v):
-    """The measure at the flat completion v of ``work``: the nodes that are not
-    excluded parameters, pushed onto the curve and merged where they meet,
-    weighted by a least-squares fit to the moments of ``work.L``, with the
-    split mass ``work.o_weight`` at the origin.  Accepted when every weight is
-    positive and the moments of L = ``work.target`` are reproduced to 1e-6
-    (``verify``)."""
+    """(measure, verify residual) at the flat completion v of ``work``, fitted
+    once per record and endpoint: the record keeps the result of _fit, or its
+    ExtractionFailed, in ``work.measures`` for every later reader."""
+    got = work.measures.get(v)
+    if got is None:
+        try:
+            got = _fit(work, v)
+        except ExtractionFailed as exc:
+            got = exc
+        work.measures[v] = got
+    if isinstance(got, ExtractionFailed):
+        raise got.with_traceback(None)
+    return got
+
+
+def _fit(work, v):
+    """The measure at the flat completion v of ``work`` and its residual: the
+    nodes that are not excluded parameters, pushed onto the curve and merged
+    where they meet, weighted by a least-squares fit to the moments of
+    ``work.L``, with the split mass ``work.o_weight`` at the origin.  Accepted
+    when every weight is positive and the moments of L = ``work.target`` are
+    reproduced to 1e-6 (``verify``)."""
     L, o_weight = work.target, work.o_weight
     comp = parametrization(L.case).components[0]
-    pts = _merged([(comp.x_at(t), comp.y_at(t), 0.0) for t in work.nodes(v)
-                   if all(abs(t - ex) >= 1e-6 for ex in comp.excluded_t)])
-    if not pts:
+    T = work.nodes(v)
+    for ex in comp.excluded_t:
+        T = T[np.abs(T - ex) >= 1e-6]
+    if not len(T):
         raise ExtractionFailed("no admissible node")
-    X, Y, _ = np.array(pts).T
-    b = moment._beta_vector(work.L)
+    # UnivarPoly.eval runs its Horner steps on the whole array of nodes
+    X = comp.x_num.eval(T) / comp.x_den.eval(T)
+    Y = comp.y_num.eval(T) / comp.y_den.eval(T)
+    if _any_close(X, Y):
+        X, Y, _ = np.array(_merged(list(zip(X, Y, np.zeros(len(T)))))).T
+    b = work.beta
     # rows scaled as verify weighs them, columns to unit norm: a far atom
     # carries a tiny weight and must not swamp the others' columns
     s = np.maximum(1.0, np.abs(b))
-    A = np.array([X**i * Y**j for i, j in moment._graded_keys(L.k)]) / s[:, None]
+    I, J = moment._graded_exponents(L.k)
+    # a scalar exponent per power: an array of exponents rounds some entries differently
+    XP = np.array([X**e for e in range(2 * L.k + 1)])
+    YP = np.array([Y**e for e in range(2 * L.k + 1)])
+    A = XP[I] * YP[J] / s[:, None]
     c = np.linalg.norm(A, axis=0)
     w = np.linalg.lstsq(A / c, b / s, rcond=None)[0] / c
     if w.min() <= 0:
@@ -163,7 +213,7 @@ def _flat_measure(work, v):
     resid = verify(mu, L)
     if not resid < 1e-6:
         raise ExtractionFailed(f"verification residual {resid:.3g}")
-    return mu
+    return mu, resid
 
 
 def _merged(atoms):
@@ -179,14 +229,24 @@ def _merged(atoms):
     return out
 
 
+def _any_close(X, Y):
+    """Whether a point lies within _merged's tolerance of an earlier one (when
+    none does, _merged changes nothing)."""
+    with np.errstate(invalid="ignore"):
+        near = ((np.abs(X[:, None] - X) < 1e-8 * (1 + np.abs(X))[:, None])
+                & (np.abs(Y[:, None] - Y) < 1e-8 * (1 + np.abs(Y))[:, None]))
+    return bool(np.tril(near, -1).any())
+
+
 def verify(mu: AtomicMeasure, L: MomentSequence) -> float:
     """max relative deviation between the measure's moments and L's,
-    |m - beta| / max(1, |beta|)."""
-    worst = 0.0
-    for (i, j), b in L.beta.items():
-        s = sum(a.w * a.x**i * a.y**j for a in mu.atoms)
-        worst = max(worst, abs(s - b) / max(1.0, abs(b)))
-    return worst
+    |m - beta| / max(1, |beta|); a NaN deviation is skipped, as max skips it."""
+    I, J = np.array(list(L.beta), dtype=np.intp).reshape(-1, 2).T
+    S = _moment_sums(mu.atoms, I, J)
+    B = np.array(list(L.beta.values()), dtype=float)
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(S - B) / np.fmax(1.0, np.abs(B))
+    return float(np.fmax.reduce(dev, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

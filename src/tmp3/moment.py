@@ -28,7 +28,7 @@ from .bases import basis_Bk, basis_Rk1, basis_Vk, combined_lift
 from .curves import CurveCase, _mono_of_deg_c, chi_flags
 from .linalg import Interval, SymmetricForm, Tolerances
 from .poly import (_UNIT, BasisElement, BivarPoly, RationalElem, _entry, _factor, _exps,
-                   _mon_index, _shifted, normal_low, product_on_curve)
+                   _mon_index, _shift_index, _shifted, normal_low, product_on_curve)
 
 _M = BivarPoly.monomial
 
@@ -54,7 +54,7 @@ class MomentSequence:
                     raise IncompleteMoments(f"missing moment ({i}, {d - i})")
 
     def scale(self):
-        return max(1.0, max(abs(v) for v in self.beta.values()))
+        return max(1.0, max(map(abs, self.beta.values())))
 
     def value(self, p: BivarPoly):
         """L(p); p must have degree <= 2k."""
@@ -143,11 +143,23 @@ def _graded_keys(k):
 
 @lru_cache(maxsize=64)
 def _lower(n):
-    return np.tril_indices(n, -1)
+    """Flat indices of the strictly lower triangle of an n x n matrix and of
+    the entries mirroring them above the diagonal."""
+    r, c = np.tril_indices(n, -1)
+    return r * n + c, c * n + r
+
+
+@lru_cache(maxsize=64)
+def _graded_exponents(k):
+    """(I, J): the exponents of _graded_keys(k) as two read-only arrays."""
+    I, J = np.array(_graded_keys(k), dtype=np.intp).T
+    I.flags.writeable = J.flags.writeable = False
+    return I, J
 
 
 def _beta_vector(L: MomentSequence):
-    """The moments beta[i, j] up to degree 2k as an array in graded order."""
+    """The moments beta[i, j] up to degree 2k as an array in graded order;
+    decide builds it once and hands it to every reader."""
     keys = _graded_keys(L.k)
     return np.fromiter(map(L.beta.__getitem__, keys), dtype=float, count=len(keys))
 
@@ -160,10 +172,11 @@ class Form:
     sum of coef[e] * beta[mon[e]] over the entries e with pair[e] = r*n + s,
     added in the order of the reduced product's terms.  ``unknown`` is the
     one pair whose product has no representative of degree <= 2k.  Decide,
-    certify and witness all read this record.  ``matrix`` maps moments to
-    the Gram matrix; its adjoint ``terms`` maps a Gram matrix G back to the
-    polynomial chi * f * v^T G v, so that L(chi f v^T G v) = <G, M(L)>: the
-    certificate residual and the refutation witness both read it.
+    certify and witness all read this record.  ``matrix`` maps the moment
+    vector (_beta_vector) to the Gram matrix; its adjoint ``terms`` maps a
+    Gram matrix G back to the polynomial chi * f * v^T G v, so that
+    L(chi f v^T G v) = <G, M(L)>: the certificate residual and the refutation
+    witness both read it.
     """
 
     labels: tuple
@@ -177,13 +190,12 @@ class Form:
     unknown: tuple | None = None
     partial: bool = False  # P10/P11: the localizing basis misses one element
 
-    def matrix(self, L: MomentSequence) -> SymmetricForm:
+    def matrix(self, beta) -> SymmetricForm:
         n = len(self.labels)
-        w = self.coef * _beta_vector(L)[self.mon]
-        m = self.chi * np.bincount(self.pair, w, minlength=n * n).reshape(n, n)
-        lower = _lower(n)
-        m[lower] = m.T[lower]
-        return SymmetricForm(list(self.labels), m, self.unknown)
+        m = self.chi * np.bincount(self.pair, self.coef * beta[self.mon], minlength=n * n)
+        lower, upper = _lower(n)
+        m[lower] = m[upper]
+        return SymmetricForm(list(self.labels), m.reshape(n, n), self.unknown)
 
     def terms(self, G):
         """(mon, value) terms of chi * f * v^T G v for a symmetric G over
@@ -196,7 +208,10 @@ class Form:
         """chi * f * v^T G v as a polynomial of degree <= 2k, each monomial's
         terms summed in the order of ``terms``."""
         keys = _graded_keys(self.k)
-        return BivarPoly(dict(zip(keys, np.bincount(*self.terms(G), minlength=len(keys)))))
+        coeffs = np.bincount(*self.terms(G), minlength=len(keys)).tolist()
+        p = BivarPoly()
+        p.coeffs = {m: c for m, c in zip(keys, coeffs) if c != 0.0}
+        return p
 
 
 @lru_cache(maxsize=512)
@@ -250,6 +265,7 @@ def _assemble(case, k, els, f):
     fac = _factor(f)
     facs = [_factor(e.rat) for e in els]
     exps = [e.exps for e in els] if fac[1] == _UNIT else [None] * n
+    index = _shift_index(case, fac[0]) if fac[1] == _UNIT else None
     pairs, mons, coefs, unknown = [], [], [], []
     for r in range(n):
         a = exps[r]
@@ -258,7 +274,7 @@ def _assemble(case, k, els, f):
             if a is None or b is None:
                 e = _entry(case, k, facs[r], facs[s], fac)
             else:
-                e = _shifted(case, fac[0], (a[0] + b[0], a[1] + b[1]))
+                e = _shifted(case, fac[0], (a[0] + b[0], a[1] + b[1]), index)
                 if e[2] > 2 * k:
                     e = None
             if e is None:
@@ -305,36 +321,41 @@ def _ideal_rows(case: CurveCase, k: int):
     return row, mon, coef, n
 
 
-def check_ideal_vanishing(L: MomentSequence) -> float:
-    """max |L(x^a y^b * P)| over a + b <= 2k - 3 (0 when there are no rows)."""
+def check_ideal_vanishing(L: MomentSequence, beta=None) -> float:
+    """max |L(x^a y^b * P)| over a + b <= 2k - 3 (0 when there are no rows);
+    ``beta`` is L's moment vector when the caller has built it."""
     row, mon, coef, n = _ideal_rows(L.case, L.k)
-    vals = np.bincount(row, coef * _beta_vector(L)[mon], minlength=n)
+    beta = _beta_vector(L) if beta is None else beta
+    vals = np.bincount(row, coef * beta[mon], minlength=n)
     # fmax skips NaN rows, as the built-in max of the scalar loop did
     return float(np.fmax.reduce(np.abs(vals), initial=0.0))
 
 
 def moment_matrix(L: MomentSequence) -> SymmetricForm:
     """Matrix of L(u*v) over basis_Bk; fully determined for every case."""
-    resid = check_ideal_vanishing(L)
+    beta = _beta_vector(L)
+    resid = check_ideal_vanishing(L, beta)
     if resid > _IDEAL_TOL * L.scale():
         raise IdealViolation(f"ideal residual {resid:.3g}")
-    return _form(L.case, L.k, "Bk").matrix(L)
+    return _form(L.case, L.k, "Bk").matrix(beta)
 
 
 def localizing_matrix(L: MomentSequence) -> SymmetricForm:
     """Matrix of L(f*u*v) over basis_Vk (partial basis for P10/P11)."""
-    return _form(L.case, L.k, "Vk").matrix(L)
+    return _form(L.case, L.k, "Vk").matrix(_beta_vector(L))
 
 
 def localizing_matrices_v2(L: MomentSequence):
     """(M1 with chi1*P1, M2 with chi2*P2) over basis_Rk1; M1 None if chi1=0."""
     r0, r1 = (_form(L.case, L.k, f"R{i}") for i in (0, 1))
-    return (None if r0.chi == 0 else r0.matrix(L)), r1.matrix(L)
+    beta = _beta_vector(L)
+    return (None if r0.chi == 0 else r0.matrix(beta)), r1.matrix(beta)
 
 
-def lift_matrix(L: MomentSequence) -> SymmetricForm:
-    """Partial (3k+1) x (3k+1) union-basis matrix with one unknown pair."""
-    return _form(L.case, L.k, "lift").matrix(L)
+def lift_matrix(L: MomentSequence, beta=None) -> SymmetricForm:
+    """Partial (3k+1) x (3k+1) union-basis matrix with one unknown pair;
+    ``beta`` is L's moment vector when the caller has built it."""
+    return _form(L.case, L.k, "lift").matrix(_beta_vector(L) if beta is None else beta)
 
 
 @lru_cache(maxsize=512)
@@ -369,25 +390,31 @@ _NODE_CUTOFF = 1e-13  # relative eigenvalue of G below which _Lift.nodes drops a
 
 
 class _Lift:
-    """The lifted matrix of one functional L, assembled once, and the one
-    decomposition of its block D that avoids the unknown pair, taken on first
-    use: the pd and psd completion intervals and P5's Schur data read it.
+    """The lifted matrix of one functional L, assembled once from its moment
+    vector ``beta``, and the one decomposition of its block D that avoids the
+    unknown pair, taken on first use: the pd and psd completion intervals and
+    P5's Schur data read it.
 
     The singular routine (its rank checks, root check and measure) and
     extraction all read this record (a passing Decision carries it to
     extract, and reads its split mass and interval off it).  ``target`` is
     the functional the measure must reproduce: L itself, or, for a lift that
     _p5_shift made, the functional L + o_weight * delta_0 it was split from.
-    A shifted record decomposes its own D.
+    A shifted record decomposes its own D.  ``measures`` maps each flat
+    completion v that was fitted to its (measure, residual) or its
+    ExtractionFailed (measure._flat_measure), so an endpoint is fitted and
+    verified once however often decide and extract read it.
     """
 
     def __init__(self, L: MomentSequence, tol: Tolerances = linalg.DEFAULT_TOL,
-                 o_weight: float = 0.0, target: MomentSequence | None = None):
+                 o_weight: float = 0.0, target: MomentSequence | None = None, beta=None):
         self.L = L
         self.tol = tol
         self.o_weight = o_weight
         self.target = L if target is None else target
-        self.form = lift_matrix(L)
+        self.beta = _beta_vector(L) if beta is None else beta
+        self.form = lift_matrix(L, self.beta)
+        self.measures = {}
 
     @cached_property
     def completion(self) -> linalg.Completion:
@@ -415,7 +442,8 @@ def decide(L: MomentSequence, opts: DecideOptions | None = None) -> Decision:
     opts = opts or DecideOptions()
     tol = opts.tol
     checks = []
-    resid = check_ideal_vanishing(L)
+    beta = _beta_vector(L)
+    resid = check_ideal_vanishing(L, beta)
     scale = L.scale()
     if resid > _IDEAL_TOL * scale:
         raise IdealViolation(f"ideal residual {resid:.3g} exceeds {_IDEAL_TOL:.1g}*scale")
@@ -424,19 +452,19 @@ def decide(L: MomentSequence, opts: DecideOptions | None = None) -> Decision:
     case = L.case
     route = case.record.route
     bk = _form(case, L.k, "Bk")
-    MB = bk.matrix(L)
+    MB = bk.matrix(beta)
     mb = linalg.psd_margin(MB.known())
     mb_pd = mb >= tol.pd
     mb_psd = mb >= -tol.psd
     checks.append(Check("moment_matrix_pd", "pd", mb_pd, mb))
 
     if case.is_v2():
-        return _decide_v2(L, MB, mb, checks, tol)
+        return _decide_v2(L, beta, MB, mb, checks, tol)
     if route == "isolated":
-        return _decide_p5(L, MB, mb, checks, tol)
+        return _decide_p5(L, beta, MB, mb, checks, tol)
 
     vk = _form(case, L.k, "Vk")
-    MV = vk.matrix(L)
+    MV = vk.matrix(beta)
     mv = linalg.psd_margin(MV.known())
     mv_pd = mv >= tol.pd
     mv_psd = mv >= -tol.psd
@@ -448,7 +476,7 @@ def decide(L: MomentSequence, opts: DecideOptions | None = None) -> Decision:
         return _refuted(L, checks, vk, MV, slice(None), "localizing_matrix_pd")
 
     # the lift of a constructive case: every branch below reads this one assembly
-    lift = _Lift(L, tol) if case.is_constructive() else None
+    lift = _Lift(L, tol, beta=beta) if case.is_constructive() else None
     if mb_pd and mv_pd:
         ivl = None if lift is None else lift.completion.pd
         if ivl is not None:
@@ -508,7 +536,7 @@ def _unrefuted(checks, why, name, tol=None):
                     note=f"{why} ({name} margin {margin:.3g}{against}); not refuted")
 
 
-def _decide_v2(L, MB, mb, checks, tol):
+def _decide_v2(L, beta, MB, mb, checks, tol):
     """Non-real-intersection cases: moment matrix plus the two factor forms.
 
     Each factor form is tested on the quotient basis of the opposite
@@ -523,7 +551,7 @@ def _decide_v2(L, MB, mb, checks, tol):
         form = _form(L.case, L.k, which)
         if form.chi == 0:
             continue
-        m = form.matrix(L)
+        m = form.matrix(beta)
         mg = linalg.psd_margin(m.known())
         checks.append(Check(name, "pd", mg >= tol.pd, mg))
         if mg < -tol.psd:
@@ -569,10 +597,9 @@ def _singular(work, checks, prefix=""):
             return Decision("MomentFunctional", checks, lift=work,
                             singular_branch=prefix + ("rank_B" if okB else "rank_V"))
     try:
-        mu = measure._extract_from_lift(work)
+        _, resid = measure._extract_from_lift(work)
     except (measure.ExtractionFailed, ArithmeticError, ValueError):  # LinAlgError is a ValueError
         return None
-    resid = measure.verify(mu, work.target)
     checks.append(Check("constructive_witness", "residual", True, -resid))
     return Decision("MomentFunctional", checks,
                     note="borderline margins certified by an explicitly recovered measure",
@@ -643,7 +670,7 @@ def _p5_lambda0(lift, lam0, checks):
     return _singular(_p5_shift(lift, max(lam0, 0.0)), checks, prefix="lambda0:")
 
 
-def _decide_p5(L, MB, mb, checks, tol):
+def _decide_p5(L, beta, MB, mb, checks, tol):
     """Isolated-point engine: split off a point mass at the origin as needed.
 
     The localizing form over the tilde space is NOT a necessary condition
@@ -654,7 +681,7 @@ def _decide_p5(L, MB, mb, checks, tol):
     range residual of b.  The admissible point masses form [-sigma2, sigma1].
     """
     case = L.case
-    lift = _Lift(L, tol)
+    lift = _Lift(L, tol, beta=beta)
     comp = lift.completion
     sigma1, sigma2, _, _, range_b = map(float, comp.schur)
     scale = L.scale()
@@ -756,9 +783,32 @@ def _min_degc_kernel_vector(M, elements, tol):
 
 @lru_cache(maxsize=512)
 def _extension_reductions(case: CurveCase, k: int):
-    """((i, j), normal_low(x^i y^j)) for i + j <= 2k + 2, in graded order."""
-    return tuple(((i, d2 - i), normal_low(_M(i, d2 - i), case))
-                 for d2 in range(0, 2 * (k + 1) + 1) for i in range(d2 + 1))
+    """normal_low(x^i y^j) for i + j <= 2k + 2, in graded order, compiled to
+    (deg, coef): row r holds the curve degree and the coefficient of each term
+    of the r-th reduction in the polynomial's order, padded at the end with
+    coefficient -0.0 at degree 6k + 7 (x + -0.0 is x, so the padding leaves
+    every sum unchanged)."""
+    reds = [normal_low(_M(i, d2 - i), case).coeffs
+            for d2 in range(0, 2 * (k + 1) + 1) for i in range(d2 + 1)]
+    deg = np.full((len(reds), max(map(len, reds))), 6 * k + 7, dtype=np.intp)
+    coef = np.full(deg.shape, -0.0)
+    for r, p in enumerate(reds):
+        deg[r, :len(p)] = [_deg_c(i, j) for i, j in p]
+        coef[r, :len(p)] = list(p.values())
+    deg.flags.writeable = coef.flags.writeable = False
+    return deg, coef
+
+
+def _extension_moments(case, k, vals):
+    """The moments up to degree 2k + 2, in graded order, of the extension
+    whose value at curve degree d is vals[d] (d = 0, 2, 3, ..., 6k + 6): each
+    the sum over the terms c * vals[deg] of its reduction, from 0 and left
+    to right, as the built-in sum adds them; the value 1 at degree 6k + 7
+    scales the padding."""
+    deg, coef = _extension_reductions(case, k)
+    V = np.array([vals.get(d, 0.0) for d in range(6 * k + 7)] + [1.0])
+    terms = np.hstack((np.zeros((len(deg), 1)), coef * V[deg]))
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def _decide_elliptic_singular(L, MB, mb, MV, checks, tol):
@@ -837,15 +887,9 @@ def _decide_elliptic_singular(L, MB, mb, MV, checks, tol):
     if not consistent:
         return _unrefuted(checks, "the unique singular extension is inconsistent with the data",
                           "extension_consistent", 1e-7)
-    for d in range(6 * k + 1, 6 * k + 7):
-        vals.setdefault(d, 0.0)
-
-    beta_ext = {}
-    for ij, p in _extension_reductions(case, k):
-        beta_ext[ij] = sum(c * vals[_deg_c(a, b)] for (a, b), c in p.coeffs.items())
-    Lext = MomentSequence(case, k + 1, beta_ext)
-    MB1 = _form(case, k + 1, "Bk").matrix(Lext)
-    MV1 = _form(case, k + 1, "Vk").matrix(Lext)
+    beta_ext = _extension_moments(case, k, vals)
+    MB1 = _form(case, k + 1, "Bk").matrix(beta_ext)
+    MV1 = _form(case, k + 1, "Vk").matrix(beta_ext)
     m1 = linalg.psd_margin(MB1.known())
     m2 = linalg.psd_margin(MV1.known())
     checks.append(Check("extension_moment_psd", "psd", m1 >= -tol.psd, m1))

@@ -502,12 +502,15 @@ def _normal(case, terms):
     return (*_terms(q), q.degree())
 
 
-def _shifted(case, terms, m):
+def _shifted(case, terms, m, index=None):
     """The table entry (_normal) of x^a y^b times the polynomial with these
     terms, m = (a, b): the terms shifted by m, in their order, exactly.  Read
     by the forms (f at an exponent sum), the division columns (den at (i, j))
-    and normal_low (the constant 1 at (i, j))."""
-    index = _shift_index(case, terms)
+    and normal_low (the constant 1 at (i, j)).  A caller that reads many
+    shifts of one polynomial passes ``index``, _shift_index(case, terms),
+    looked up once."""
+    if index is None:
+        index = _shift_index(case, terms)
     e = index.get(m)
     if e is None:
         a, b = m
@@ -557,7 +560,8 @@ def _division_matrix(case, den, dmax):
     over those rows.  Each column is den's terms shifted by (i, j) (_shifted)."""
     mons = low_monomials(case, dmax)
     terms = tuple(_decode(den).coeffs.items())
-    cols = [_shifted(case, terms, m) for m in mons]
+    index = _shift_index(case, terms)
+    cols = [_shifted(case, terms, m, index) for m in mons]
     mon = np.frombuffer(b"".join(c[0] for c in cols), dtype=np.intp)
     rows, where = _rows(mon)
     col = np.repeat(np.arange(len(cols)), [len(c[0]) // mon.itemsize for c in cols])

@@ -75,6 +75,17 @@ def rounding_bound(p, L):
     return len(p.coeffs) * 2.0**-53 * sum(abs(c * L.beta[m]) for m, c in p.coeffs.items())
 
 
+def reference_verify(mu, L):
+    """measure.verify as a loop over L's moments and the measure's atoms: the
+    deviation |m - beta| / max(1, |beta|), each moment summed over the atoms
+    in order, the largest kept by the built-in max."""
+    worst = 0.0
+    for (i, j), b in L.beta.items():
+        s = sum(a.w * a.x**i * a.y**j for a in mu.atoms)
+        worst = max(worst, abs(s - b) / max(1.0, abs(b)))
+    return worst
+
+
 def every_case():
     return [make_case(cid, params) for cid, params in CASE_PARAMS.items()]
 

@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from tmp3 import make_case
+from conftest import reference_verify
+from tmp3 import make_case, measure
 from tmp3.bases import basis_Bk
 from tmp3.cli import dump_problem, run
-from tmp3.measure import generate
+from tmp3.measure import Atom, AtomicMeasure, generate
 
 # helper: run CLI in-process, capturing stdout
 
@@ -35,6 +36,36 @@ class TestSolve:
         assert rep["verdict"] == "MomentFunctional"
         assert rep["residual"] < 1e-6
         assert rep["measure"] is not None
+
+    @pytest.mark.parametrize("cid,k,atoms", [("P3", 2, 2), ("P4", 2, 2), ("P4", 2, 7)])
+    def test_extract_adds_no_verify(self, tmp_path, capsys, monkeypatch, cid, k, atoms):
+        """The residual of ``solve --extract`` is the one the fit of its
+        measure kept: every verify runs inside a fit, one per fitted
+        endpoint, and the residual equals the loop's value on the report."""
+        path, L, _ = _write_problem(tmp_path, cid=cid, k=k, seed=0, atoms=atoms)
+        fits, verifies, inside = [], [], [False]
+        real_fit, real_verify = measure._fit, measure.verify
+
+        def counting_fit(work, v):
+            fits.append(v)
+            inside[0] = True
+            try:
+                return real_fit(work, v)
+            finally:
+                inside[0] = False
+
+        def counting_verify(*args):
+            verifies.append(inside[0])
+            return real_verify(*args)
+
+        monkeypatch.setattr(measure, "_fit", counting_fit)
+        monkeypatch.setattr(measure, "verify", counting_verify)
+        code, out = _run(capsys, "solve", "--input", str(path), "--extract")
+        rep = json.loads(out)
+        assert code == 0 and rep["measure"] is not None
+        assert all(verifies) and 1 <= len(verifies) <= len(fits) == len(set(fits))
+        got = AtomicMeasure(tuple(Atom(a["x"], a["y"], a["w"]) for a in rep["measure"]["atoms"]))
+        assert rep["residual"] == reference_verify(got, L)
 
     def test_negative_exit1_with_witness(self, tmp_path, capsys):
         path, L, mu = _write_problem(tmp_path)

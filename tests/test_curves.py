@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -74,6 +79,25 @@ class TestMakeCase:
         hits = _form.cache_info().hits
         assert _form(b, 3, "Bk") is form
         assert _form.cache_info().hits == hits + 1
+
+    def test_pickle_round_trip_rehashes(self):
+        """A case stores its hash but pickles as (id, params): unpickled in a
+        process whose string hashes differ, it hashes as a case built there."""
+        cases = [make_case(cid, params) for cid, params in CASE_PARAMS.items()]
+        for case in cases:
+            back = pickle.loads(pickle.dumps(case))
+            assert back == case and hash(back) == hash(case) and back.key() == case.key()
+            assert str(hash(case)).encode() not in pickle.dumps(case, protocol=0)
+        script = ("import pickle, sys; from tmp3 import make_case; "
+                  "cases = pickle.loads(sys.stdin.buffer.read()); "
+                  "print(all(hash(c) == hash(make_case(c.id, dict(c.params))) for c in cases), "
+                  "hash(cases[0]) == int(sys.argv[1]))")
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", script, str(hash(cases[0]))],
+                             input=pickle.dumps(cases), capture_output=True, env=env,
+                             check=True).stdout
+        assert out.split() == [b"True", b"False"]
 
 
 class TestMultiplier:

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import CASE_PARAMS, CONSTRUCTIVE, P6_VARIANTS, rounding_bound
+from conftest import CASE_PARAMS, CONSTRUCTIVE, P6_VARIANTS, reference_verify, rounding_bound
 from tmp3 import Certificate, SymmetricForm, make_case, moment, verify_certificate
 from tmp3.measure import (
     Atom,
@@ -29,20 +31,25 @@ def _p13_lift(ts, ws, k):
     return moment._Lift(MomentSequence(make_case("P13"), k, mu.moments(k)))
 
 
+def _extracted(lift, opts=None):
+    """The measure of _extract_from_lift, without its residual."""
+    return _extract_from_lift(lift, opts)[0]
+
+
 class TestFlatMeasure:
     """The measure of a lift at its flat completions (_extract_from_lift)."""
 
     def test_two_atoms(self):
         # delta_-1 + 2*delta_1 on x = t
         lift = _p13_lift([-1.0, 1.0], [1.0, 2.0], 2)
-        got = sorted((a.x, a.w) for a in _extract_from_lift(lift).atoms)
+        got = sorted((a.x, a.w) for a in _extracted(lift).atoms)
         assert got == [(pytest.approx(-1.0), pytest.approx(1.0)),
                        (pytest.approx(1.0), pytest.approx(2.0))]
 
     def test_single_atom(self):
         c = 0.8
         lift = _p13_lift([c], [1.0], 3)
-        (a,) = _extract_from_lift(lift).atoms
+        (a,) = _extracted(lift).atoms
         assert (a.x, a.y, a.w) == (pytest.approx(c), pytest.approx(c**3), pytest.approx(1.0))
 
     def test_roundtrip_four_atoms(self):
@@ -51,7 +58,7 @@ class TestFlatMeasure:
         while np.min(np.diff(ts)) < 1e-3:
             ts = np.sort(rng.uniform(-2, 2, 4))
         lift = _p13_lift(ts, rng.uniform(0.5, 1.5, 4), 3)
-        mu = _extract_from_lift(lift)
+        mu = _extracted(lift)
         assert len(mu) == 4
         assert np.allclose(sorted(a.x for a in mu.atoms), ts, atol=1e-6)
 
@@ -69,7 +76,7 @@ class TestFlatMeasure:
             if np.min(np.diff(ts)) < 1e-3:
                 continue
             lift = _p13_lift(ts, rng.uniform(0.3, 1.4, 3), 3)
-            mu = _extract_from_lift(lift)
+            mu = _extracted(lift)
             assert np.allclose(sorted(a.x for a in mu.atoms), ts, atol=1e-6)
 
 
@@ -141,12 +148,12 @@ class TestRequestedCompletion:
 
     def test_named_points_combine_the_endpoints(self):
         L, lift = self._lift()
-        ends = [_extract_from_lift(lift, opts=ExtractOptions(completion="value",
-                                                             completion_value=v))
+        ends = [_extracted(lift, opts=ExtractOptions(completion="value",
+                                                     completion_value=v))
                 for v in (lift.completion.psd.lo, lift.completion.psd.hi)]
         assert all(len(mu) <= 6 for mu in ends)
         for mode in ("left", "midpoint", "right"):
-            mu = _extract_from_lift(lift, opts=ExtractOptions(completion=mode))
+            mu = _extracted(lift, opts=ExtractOptions(completion=mode))
             assert verify(mu, L) < 1e-6 and len(mu) <= 12
             assert len(mu) == len(ends[0]) + len(ends[1])
 
@@ -184,6 +191,57 @@ def test_high_k_roundtrip(cid, params, k, seed):
     assert verify(mu, L) < 1e-6
     assert all(a.w > 0 for a in mu.atoms)
     assert len(mu) - (dec.o_weight > 0) <= 3 * k
+
+
+def _loop_moments(mu, k):
+    return {(i, d - i): sum(a.w * a.x**i * a.y**(d - i) for a in mu.atoms)
+            for d in range(2 * k + 1) for i in range(d + 1)}
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("cid,params", CONSTRUCTIVE)
+def test_verify_and_moments_match_the_loop(cid, params):
+    """verify and AtomicMeasure.moments, computed in arrays, equal the loop
+    over moments and atoms bit for bit: on a generated measure, on it with
+    every weight nudged, and on another measure, at k = 2..6 and n in
+    {k, 3k+1}."""
+    case = make_case(cid, params)
+    for k in range(2, 7):
+        for n in (k, 3 * k + 1):
+            mu = generate_measure(case, n, k, seed=k)
+            L = MomentSequence(case, k, mu.moments(k))
+            want = _loop_moments(mu, k)
+            assert list(L.beta) == list(want)
+            assert _hexes(L.beta.values()) == _hexes(want.values())
+            nudged = AtomicMeasure(tuple(Atom(a.x, a.y, a.w * (1 + 1e-7 * r))
+                                         for r, a in enumerate(mu.atoms)))
+            other = generate_measure(case, n, k, seed=k + 100)
+            for nu in (mu, nudged, other):
+                assert verify(nu, L).hex() == reference_verify(nu, L).hex()
+
+
+def test_verify_and_moments_edge_cases_match_the_loop():
+    """The empty measure, NaN moments (skipped as max skips them), a sum that
+    is a lone -0.0, and a power that overflows (OverflowError, as before)."""
+    case = make_case("P4")
+    mu = generate_measure(case, 4, 2, seed=0)
+    L = MomentSequence(case, 2, mu.moments(2))
+    empty = AtomicMeasure(())
+    assert empty.moments(2) == dict.fromkeys(L.beta, 0)
+    assert verify(empty, L).hex() == reference_verify(empty, L).hex()
+    for key in ((0, 0), (1, 0)):
+        bad = L.perturbed({key: math.nan})
+        assert verify(mu, bad).hex() == reference_verify(mu, bad).hex()
+    neg = AtomicMeasure((Atom(0.0, -1.0, 1.0),))
+    assert _hexes(neg.moments(2).values()) == _hexes(_loop_moments(neg, 2).values())
+    far = AtomicMeasure(mu.atoms + (Atom(1e200, 1.0, 1.0),))
+    for compute in (lambda: reference_verify(far, L), lambda: verify(far, L),
+                    lambda: far.moments(2)):
+        with pytest.raises(OverflowError):
+            compute()
 
 
 class TestVerifyGenerate:
@@ -274,7 +332,7 @@ class TestWitness:
         pe = {key: x0 ** key[0] * 0.0 ** key[1] for key in L.beta}
         for delta in np.geomspace(0.05, 1e4, 50):
             cand = L.perturbed({key: -delta * v for key, v in pe.items()})
-            m2 = _form(case, 2, "Q1").matrix(cand)
+            m2 = _form(case, 2, "Q1").matrix(moment._beta_vector(cand))
             if linalg.psd_margin(m2.known()) < -1e-4:
                 L2 = cand
                 break
@@ -335,7 +393,7 @@ def _refuting(L, dec):
     if which == "schur":
         return which, _form(L.case, L.k, "lift"), moment._Lift(L).completion.D
     form = _form(L.case, L.k, which)
-    return which, form, form.matrix(L).known()
+    return which, form, form.matrix(moment._beta_vector(L)).known()
 
 
 @pytest.mark.parametrize("build", [_vk_refuted, _q0_refuted, _p5_schur_refuted])

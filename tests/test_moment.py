@@ -3,7 +3,7 @@ import pytest
 
 from conftest import (CASE_PARAMS, CONSTRUCTIVE, P6_VARIANTS, bench_corpus, clear_tables,
                       reference_product)
-from tmp3 import linalg, make_case, moment, poly
+from tmp3 import linalg, make_case, measure, moment, poly
 from tmp3.bases import basis_Bk, basis_Rk1, basis_Vk, combined_lift
 from tmp3.curves import chi_flags, sample_points
 from tmp3.measure import Atom, AtomicMeasure, extract, generate, generate_measure, verify
@@ -280,6 +280,24 @@ class TestEllipticSingular:
         assert dec.verdict == "MomentFunctional"
         assert dec.singular_branch == "elliptic_extension:locally_singular"
 
+    @pytest.mark.parametrize("cid", ["P1", "P2"])
+    def test_extension_moments_match_the_sum(self, cid):
+        """The level-(k+1) moments from the compiled reductions equal the
+        built-in sum over each normal_low(x^i y^j) bit for bit, also where
+        every term is a zero of either sign."""
+        case = make_case(cid, CASE_PARAMS[cid])
+        rng = np.random.default_rng(0)
+        for k in range(2, 6):
+            degs = [d for d in range(6 * k + 7) if d != 1]
+            for vals in (dict(zip(degs, rng.standard_normal(len(degs)).tolist())),
+                         dict(zip(degs, (rng.standard_normal(len(degs)) * 1e150).tolist())),
+                         dict.fromkeys(degs, -0.0)):
+                want = [sum(c * vals[2 * a + 3 * b] for (a, b), c in
+                            normal_low(BivarPoly.monomial(i, d - i), case).coeffs.items())
+                        for d in range(2 * k + 3) for i in range(d + 1)]
+                got = moment._extension_moments(case, k, vals)
+                assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
 
 def _p13_flat_nodes(ts, ws, k):
     """The nodes of the lift of the atoms (t, t^3) on P13 at its left flat completion."""
@@ -355,7 +373,8 @@ def test_compiled_forms_match_reference(cid, params):
         for L, on_ideal in zip(_data(case, k), (True, True, False)):
             assert check_ideal_vanishing(L) == _reference_ideal(L)
             # moment_matrix refuses data off the ideal; the form itself does not
-            got = (moment_matrix(L) if on_ideal else _form(case, k, "Bk").matrix(L)).entries
+            beta = moment._beta_vector(L)
+            got = (moment_matrix(L) if on_ideal else _form(case, k, "Bk").matrix(beta)).entries
             want = _reference_gram(L, basis_Bk(case, k).elements, on_curve(one))
             assert np.array_equal(got, want, equal_nan=True)
             if case.is_v2():
@@ -371,7 +390,7 @@ def test_compiled_forms_match_reference(cid, params):
                         assert np.array_equal(m.entries, want, equal_nan=True)
                     els = _v2_quotient_elements(case, k)[i]
                     want = _reference_gram(L, els, times(facs[i]), chis[i])
-                    got = _form(case, k, f"Q{i}").matrix(L).entries
+                    got = _form(case, k, f"Q{i}").matrix(beta).entries
                     assert np.array_equal(got, want, equal_nan=True)
             else:
                 want = _reference_gram(L, basis_Vk(case, k).elements,
@@ -622,7 +641,9 @@ def test_lift_assembled_once_per_functional(monkeypatch, cid, params, k, n, seed
     decomposes its own block D at most once: one eigvalsh and at most one
     pseudo-inverse per record, also when a shift holds an equal D.  The
     checks come in the order of the steps: the rank checks before
-    constructive_witness, and lambda0_nonneg between P5's two tries."""
+    constructive_witness, and lambda0_nonneg between P5's two tries.  Each
+    endpoint of a record is fitted (one lstsq) and verified at most once,
+    whether decide or extract reads its measure first."""
     case = make_case(cid, params)
     mu = generate_measure(case, n, k, seed=seed)
     if w0:
@@ -631,11 +652,30 @@ def test_lift_assembled_once_per_functional(monkeypatch, cid, params, k, n, seed
     assembled, forms, decomposed, eigs, pinvs = [], [], [], [], []
     real_lift, real_eig, real_pinv = moment.lift_matrix, np.linalg.eigvalsh, linalg.pinv_cutoff
     real_completion = linalg.completion_interval
+    real_fit, real_lstsq, real_verify = measure._fit, np.linalg.lstsq, measure.verify
+    fits, lstsqs, verifies, inside = [], [], [], [None]
 
-    def counting_lift(L):
+    def counting_lift(L, *args, **kwargs):
         assembled.append(tuple(sorted(L.beta.items())))
-        forms.append(real_lift(L))
+        forms.append(real_lift(L, *args, **kwargs))
         return forms[-1]
+
+    def counting_fit(work, v):
+        inside[0] = (id(work), v)
+        fits.append(inside[0])
+        try:
+            return real_fit(work, v)
+        finally:
+            inside[0] = None
+
+    def counting_lstsq(*args, **kwargs):
+        if inside[0] is not None:
+            lstsqs.append(inside[0])
+        return real_lstsq(*args, **kwargs)
+
+    def counting_verify(*args, **kwargs):
+        verifies.append(inside[0])
+        return real_verify(*args, **kwargs)
 
     def counting_completion(form, *args, **kwargs):
         decomposed.append(form)
@@ -653,14 +693,24 @@ def test_lift_assembled_once_per_functional(monkeypatch, cid, params, k, n, seed
     monkeypatch.setattr(linalg, "completion_interval", counting_completion)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eig)
     monkeypatch.setattr(linalg, "pinv_cutoff", counting_pinv)
+    monkeypatch.setattr(measure, "_fit", counting_fit)
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    monkeypatch.setattr(measure, "verify", counting_verify)
     dec = decide(L)
     assert (dec.verdict, dec.singular_branch) == (verdict, branch)
     row = (cid, params, k, n, seed, w0, verdict, branch)
     assert tuple(c.name for c in dec.details) == next(r[-1] for r in LIFT_ROUTES
                                                       if r[:-1] == row)
+    fitted = len(fits)
     if dec.passed():
         extract(L, decision=dec)
         assert any(PM is dec.lift.form for PM in forms)
+        if branch == "constructive_witness":
+            assert len(fits) == fitted  # extract reads the measure decide accepted
+    # one fit per (record, endpoint), each with one lstsq and at most one
+    # verify; no verify outside a fit
+    assert len(set(fits)) == len(fits) and sorted(lstsqs) == sorted(fits)
+    assert set(verifies) <= set(fits) and len(set(verifies)) == len(verifies)
     assert assembled and len(set(assembled)) == len(assembled)
     # every decomposition is of a lift record's form, and each record's at most once
     assert all(any(PM is F for F in forms) for PM in decomposed)
