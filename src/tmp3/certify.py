@@ -6,8 +6,9 @@ multipliers with degree-(k-1) Gram matrices.  Verification is dual:
 dense sampling over curve points always applies, and a symbolic residual
 is reported whenever every cross product has a polynomial representative.
 Both read the compiled form of each Gram term (moment._form), the same
-record that decide and witness read: its elements for the sampling, its
-adjoint (Form.terms, the map from a Gram matrix to polynomial terms that
+record that decide and witness read: its elements, evaluated once per
+form at the case's sample points, for the sampling, its adjoint
+(Form.terms, the map from a Gram matrix to polynomial terms that
 witness() also reads) for the symbolic residual.  Both are divided by the
 size of their terms floored at 1 (the standard bound on the rounding error
 of a sum), per point and per monomial.
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -93,46 +93,37 @@ def verify_certificate(p: BivarPoly, cert: Certificate, case: CurveCase,
 def _sampled_residual(p, terms, case):
     """max over 200 pole-free sample points of |sum of terms - p| / max(1, sum of |terms|).
 
-    The monomials of p and the unit-monomial elements x^i y^j of every form
-    are read from one power table, X**i and Y**j (not repeated products,
-    which round differently), whose rows are cached per case (_power); the
-    other elements, the multiplier and the pole mask come from
-    _form_samples, once per compiled form.  Every value is the one
-    RationalElem.eval_array gives (a unit monomial's (0 + 1.0 * X**i * Y**j)
-    / 1.0 up to the sign of a zero, which no sum or |.| below shows) and the
-    sums run in the same order, so the residual is the term-by-term
-    evaluation's, bit for bit.
+    The monomials of p are read from one power table, X**i and Y**j (not
+    repeated products, which round differently), whose rows are cached per
+    case (_power); the values of every element, the multiplier and the
+    pole mask are cached once per compiled form (_form_values), as
+    RationalElem.eval_array gives them.  The sums run in the order of a
+    term-by-term loop, so the residual is that evaluation's, bit for bit.
     """
     X, Y = sample_arrays(case, 200, seed=11)
-    samples = [_form_samples(form, case) for form, _ in terms]
     I, J = np.array(list(p.coeffs), dtype=np.intp).reshape(-1, 2).T
     c = np.fromiter(p.coeffs.values(), dtype=float, count=len(p.coeffs))
-    XP = _powers(case, 0, [I, *(s.i for s in samples)])
-    YP = _powers(case, 1, [J, *(s.j for s in samples)])
     # with more than one point per row, numpy adds the rows one after the
     # other (pairwise summation runs only along a contiguous reduced axis),
     # in the order of p's terms, as a term-by-term loop does
-    T = c[:, None] * XP[I] * YP[J]
+    T = c[:, None] * _powers(case, 0, I)[I] * _powers(case, 1, J)[J]
     total, scale = -np.add.reduce(T, axis=0), np.add.reduce(np.abs(T), axis=0)
     pole = np.zeros(X.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        for (form, g), s in zip(terms, samples):
-            V = np.empty((len(form.elements), X.size))
-            V[s.mono] = XP[s.i] * YP[s.j]
-            V[s.rest] = s.values
+        for form, g in terms:
+            V, fv, bad = _form_values(form, case)
             G = g.known()
-            total += form.chi * s.fv * np.sum(V * (G @ V), axis=0)
-            scale += np.abs(s.fv) * np.sum(np.abs(V) * (np.abs(G) @ np.abs(V)), axis=0)
-            pole |= s.pole
+            total += form.chi * fv * np.sum(V * (G @ V), axis=0)
+            scale += np.abs(fv) * np.sum(np.abs(V) * (np.abs(G) @ np.abs(V)), axis=0)
+            pole |= bad
         r = np.abs(total) / np.maximum(1.0, scale)
     return float(np.max(r[~pole], initial=0.0))
 
 
-def _powers(case, axis, exps):
-    """Z**e for e = 0 .. the largest entry of the exponent arrays, one row
-    each, Z the sample points' coordinate ``axis`` (0: X, 1: Y)."""
-    top = max(a.max(initial=0) for a in exps)
-    return np.array([_power(case, axis, e) for e in range(top + 1)])
+def _powers(case, axis, e):
+    """Z**i for i = 0 .. max(e), one row each, Z the sample points'
+    coordinate ``axis`` (0: X, 1: Y)."""
+    return np.array([_power(case, axis, i) for i in range(e.max(initial=0) + 1)])
 
 
 @lru_cache(maxsize=4096)
@@ -143,36 +134,16 @@ def _power(case, axis, e):
     return Z
 
 
-class _Samples(NamedTuple):
-    """A compiled form at the sample points of its case, but for the values
-    of its unit monomials, which the power table gives."""
-
-    mono: np.ndarray  # rows of the unit monomials x^i y^j
-    i: np.ndarray
-    j: np.ndarray
-    rest: np.ndarray  # rows of the other elements
-    values: np.ndarray  # their values, one row each
-    fv: np.ndarray  # the multiplier
-    pole: np.ndarray  # where an element or the multiplier has a pole
-
-
 @lru_cache(maxsize=512)
-def _form_samples(form, case) -> _Samples:
-    """The values _sampled_residual reads of a form but not from the power
-    table.  The unit monomials, most of the elements, are left out: over the
-    benchmark's 192 certificate forms this holds 1.0 MB where every element's
-    values would take 2.7 MB."""
+def _form_values(form, case):
+    """(V, f, pole), read-only: a compiled form's elements at the sample
+    points of its case, one row each, its multiplier there, and where an
+    element or the multiplier has a pole."""
     X, Y = sample_arrays(case, 200, seed=11)
-    els = form.elements
     with np.errstate(all="ignore"):
-        vals, bad = zip(*(e.rat.eval_array(X, Y) for e in els))
+        V, bad = map(np.array, zip(*(e.rat.eval_array(X, Y) for e in form.elements)))
         fv, fbad = form.f.eval_array(X, Y)
-    mono = [r for r, e in enumerate(els) if e.exps is not None]
-    rest = [r for r, e in enumerate(els) if e.exps is None]
-    i, j = np.array([els[r].exps for r in mono], dtype=np.intp).reshape(-1, 2).T
-    out = _Samples(np.array(mono, dtype=np.intp), i, j, np.array(rest, dtype=np.intp),
-                   np.array([vals[r] for r in rest]).reshape(len(rest), X.size),
-                   fv, np.array(bad).any(axis=0) | fbad)
+    out = V, fv, bad.any(axis=0) | fbad
     for a in out:
         a.flags.writeable = False
     return out

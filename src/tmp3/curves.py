@@ -1001,7 +1001,9 @@ def normalize(p: BivarPoly):
     support = set(p.coeffs)
     c = dict(p.coeffs)
 
-    if support <= {(0, 2), (3, 0), (2, 0), (1, 0), (0, 0)} and (0, 2) in c and (3, 0) in c:
+    if all(j >= 1 for (_, j) in support):  # y * conic: no irreducible family has y | p
+        case, amap = _normalize_reducible(p)
+    elif support <= {(0, 2), (3, 0), (2, 0), (1, 0), (0, 0)} and (0, 2) in c and (3, 0) in c:
         case, amap = _normalize_weierstrass(c)
     elif (1, 2) in c and support <= {(1, 2), (0, 1), (3, 0), (2, 0), (1, 0), (0, 0)}:
         case, amap = _normalize_newton(c)
@@ -1009,8 +1011,6 @@ def normalize(p: BivarPoly):
         case, amap = _normalize_xy(c)
     elif (0, 1) in c and (3, 0) in c and support <= {(0, 1), (3, 0), (2, 0), (1, 0), (0, 0)}:
         case, amap = _normalize_yx3(c)
-    elif all(j >= 1 for (_, j) in support):
-        case, amap = _normalize_reducible(p)
     else:
         raise Unsupported("cubic outside the recognized monomial patterns")
     _verify_map(case, amap, p)
@@ -1193,10 +1193,13 @@ def _normalize_reducible(p: BivarPoly):
         rb = (-c1 - math.sqrt(disc)) / 2.0
         a_, b_ = -ra, -rb
         return make_case("P26", {"a": a_, "b": b_}), AffineMap()
-    for cid in ("P17", "P18", "P21", "P27", "P28"):
+    for cid in ("P17", "P18", "P21", "P27", "P28", "P29"):
         case = make_case(cid, {})
         if _match_up_to_scale(p, case.defining_poly()):
             return case, AffineMap()
+    if set(qs) == {(1, 0), (0, 1), (1, 1)}:  # y(cx x + cy y + cxy xy) -> P22 by (cx x, cy y)
+        cx, cy = g(1, 0), g(0, 1)
+        return make_case("P22", {"a": g(1, 1) / (cx * cy)}), AffineMap(a=cx, e=cy)
     # y(1 - x^2)-type three lines map onto yx(y+1) by an explicit alt; the
     # mixed shapes below would take them and refuse the line pair
     if _match_up_to_scale(p, BivarPoly({(0, 1): 1.0, (2, 1): -1.0})):

@@ -436,8 +436,10 @@ def _rows(mon):
     """(rows, where): the distinct graded indices in mon, sorted as their
     exponent pairs (i, j), and where[g], the row of graded index g or -1.
     The last entry of where is -1, so where.take(..., mode="clip") sends
-    every index past the rows there."""
-    rows = np.unique(mon)
+    every index past the rows there.  Sorted and deduplicated by hand: the
+    first np.unique in a process imports numpy.ma."""
+    rows = np.sort(mon)
+    rows = rows[np.diff(rows, prepend=-1) > 0]
     i, j = _exps(rows)
     rows = rows[np.lexsort((j, i))]
     where = np.full(rows.max(initial=-1) + 2, -1, dtype=np.intp)

@@ -239,7 +239,7 @@ def test_sparse_gram_with_tiny_entries(noise):
 
 
 # ---------------------------------------------------------------------------
-# The sampled residual reads a power table and a per-form cache: same bits
+# The sampled residual reads a power table and a per-form table: same bits
 
 
 CORPUS = bench_corpus()
@@ -282,10 +282,10 @@ def _reference_sampled(p, terms, case):
 @pytest.mark.parametrize("label", [c[0] for c in CORPUS.CASES])
 def test_sampled_residual_matches_reference(label, monkeypatch):
     """Valid and shifted corpus certificates (seed 2, k = 2..4): the sampled
-    residual equals the term-by-term evaluation bit for bit.  P7-P9 reach
-    the per-form cache with a rational V^(k) element (the partial V^(k) of
-    P10 and P11 misses it), other cases with composite elements or a
-    non-constant multiplier."""
+    residual, which reads every element from its form's cached values,
+    equals the term-by-term evaluation at each call bit for bit.  P7-P9
+    bring a rational V^(k) element (the partial V^(k) of P10 and P11 has
+    none), other cases composite elements or a non-constant multiplier."""
     from tmp3 import certify
 
     seen = []
@@ -308,14 +308,14 @@ def test_sampled_residual_matches_reference(label, monkeypatch):
 
 def test_caches_do_not_change_bits():
     """Certificate residuals and rational products, cold, warm, and after the
-    per-form samples, the power tables, the sample points and the symbolic
+    per-form values, the power tables, the sample points and the symbolic
     tables (normal forms, quotients, divisions, division matrices, bases and
     forms) are cleared."""
     from tmp3 import certify, poly
     from tmp3.moment import _form
 
     def clear():
-        certify._form_samples.cache_clear()
+        certify._form_values.cache_clear()
         certify._power.cache_clear()
         sample_arrays.cache_clear()
         clear_tables()
@@ -339,7 +339,7 @@ def test_caches_do_not_change_bits():
 
     clear()
     cold = outputs()
-    assert certify._form_samples.cache_info().currsize > 0
+    assert certify._form_values.cache_info().currsize > 0
     assert certify._power.cache_info().currsize > 0
     assert poly._division_matrix.cache_info().currsize > 0
     assert poly._normal.cache_info().currsize > 0
@@ -350,10 +350,15 @@ def test_caches_do_not_change_bits():
 
 
 def test_power_rows_are_read_only():
-    """The cached powers of the sample coordinates refuse in-place writes."""
+    """The cached powers of the sample coordinates and the cached values of a
+    form (its elements, its multiplier, its pole mask) refuse in-place writes."""
     from tmp3 import certify
+    from tmp3.moment import _form
 
     case, p, cert = _corpus_certificate("P3", 2, seed=1)
     verify_certificate(p, cert, case, 2)
     with pytest.raises(ValueError):
         certify._power(case, 0, 2)[0] = 1.0
+    for a in certify._form_values(_form(case, 2, "Bk"), case):
+        with pytest.raises(ValueError):
+            a[0] = 0

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +38,20 @@ class TestSolve:
         assert rep["verdict"] == "MomentFunctional"
         assert rep["residual"] < 1e-6
         assert rep["measure"] is not None
+
+    def test_cold_solve_leaves_numpy_ma_unimported(self, tmp_path):
+        """``solve --extract`` on a P3 problem, which builds a division matrix,
+        in a fresh interpreter: numpy.ma (imported by the first np.unique of a
+        process) stays out of sys.modules."""
+        path, _, _ = _write_problem(tmp_path, "P3", atoms=4)
+        script = ("import sys; from tmp3 import cli, poly; "
+                  "code = cli.run(['solve', '--input', sys.argv[1], '--extract']); "
+                  "print(code, poly._division_matrix.cache_info().currsize > 0, "
+                  "'numpy.ma' in sys.modules, file=sys.stderr)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        err = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True,
+                             env=env, check=True).stderr
+        assert err.split() == [b"0", b"True", b"False"]
 
     @pytest.mark.parametrize("cid,k,atoms", [("P3", 2, 2), ("P4", 2, 2), ("P4", 2, 7)])
     def test_extract_adds_no_verify(self, tmp_path, capsys, monkeypatch, cid, k, atoms):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import CASE_PARAMS
+from conftest import CASE_PARAMS, bench_corpus
 from tmp3 import make_case, normalize
 from tmp3.curves import (
     InvalidParams,
@@ -218,6 +218,9 @@ class TestSamplePoints:
         assert comps == [0, 1, 2]
 
 
+#: (label, case id, parameters) of every benchmark label
+CORPUS_CASES = bench_corpus().CASES
+
 #: inputs of normalize with the canonical case each maps to
 FAMILIES = [
     (_M(0, 2) - _M(3, 0, 4.0) + _M(2, 0, 4.0), "P5"),   # y^2 = 4x^2(x-1)
@@ -253,6 +256,21 @@ class TestNormalize:
         case, amap = normalize(poly)
         assert case.id == expect
         _check_pushforward(poly, case, amap)
+
+    @pytest.mark.parametrize("cid,params", [c[1:] for c in CORPUS_CASES],
+                             ids=[c[0] for c in CORPUS_CASES])
+    def test_canonical_round_trip(self, cid, params):
+        """Every benchmark label's own defining polynomial maps onto its case,
+        with its parameters."""
+        case, amap = normalize(make_case(cid, params).defining_poly())
+        assert (case.id, dict(case.params)) == (cid, pytest.approx(params))
+
+    def test_scaled_p22(self):
+        """y(2x + 3y + 12xy) is P22 with a = 12/(2*3) under (x, y) -> (2x, 3y)."""
+        p = _M(0, 1) * (_M(1, 0, 2.0) + _M(0, 1, 3.0) + _M(1, 1, 12.0))
+        case, amap = normalize(p)
+        assert (case.id, case.params["a"], amap.a, amap.e) == ("P22", 2.0, 2.0, 3.0)
+        _check_pushforward(p, case, amap)
 
     @pytest.mark.parametrize("p", [_M(0, 1) - _M(2, 1), _M(2, 1) - _M(0, 1)])
     def test_three_lines_onto_p28(self, p):

@@ -50,8 +50,8 @@ def test_outputs_digest_p5_point_mass_line(digest, tmp_path):
 
 @pytest.mark.parametrize("label,form", [("P15", "v2"), ("P8", "v1")])
 def test_outputs_digest_cert_kinds(digest, label, form):
-    """cert_line on a v2 certificate and on a v1 certificate with a rational
-    V^(k) element: every element kind the sampled residual tells apart."""
+    """cert_line on a v2 certificate (two non-constant multipliers) and on a
+    v1 certificate with a rational V^(k) element beside its unit monomials."""
     _, cid, params = next(c for c in digest.corpus.CASES if c[0] == label)
     rec = digest.corpus.make_certificate(digest.SEEDS[0], label, cid, params, 2)
     assert rec["form"] == form
