@@ -1001,18 +1001,21 @@ def normalize(p: BivarPoly):
     support = set(p.coeffs)
     c = dict(p.coeffs)
 
-    if all(j >= 1 for (_, j) in support):  # y * conic: no irreducible family has y | p
-        case, amap = _normalize_reducible(p)
-    elif support <= {(0, 2), (3, 0), (2, 0), (1, 0), (0, 0)} and (0, 2) in c and (3, 0) in c:
-        case, amap = _normalize_weierstrass(c)
-    elif (1, 2) in c and support <= {(1, 2), (0, 1), (3, 0), (2, 0), (1, 0), (0, 0)}:
-        case, amap = _normalize_newton(c)
-    elif (1, 1) in c and support <= {(1, 1), (3, 0), (2, 0), (1, 0), (0, 0)} and (3, 0) in c:
-        case, amap = _normalize_xy(c)
-    elif (0, 1) in c and (3, 0) in c and support <= {(0, 1), (3, 0), (2, 0), (1, 0), (0, 0)}:
-        case, amap = _normalize_yx3(c)
-    else:
-        raise Unsupported("cubic outside the recognized monomial patterns")
+    try:
+        if all(j >= 1 for (_, j) in support):  # y * conic: no irreducible family has y | p
+            case, amap = _normalize_reducible(p)
+        elif support <= {(0, 2), (3, 0), (2, 0), (1, 0), (0, 0)} and (0, 2) in c and (3, 0) in c:
+            case, amap = _normalize_weierstrass(c)
+        elif (1, 2) in c and support <= {(1, 2), (0, 1), (3, 0), (2, 0), (1, 0), (0, 0)}:
+            case, amap = _normalize_newton(c)
+        elif (1, 1) in c and support <= {(1, 1), (3, 0), (2, 0), (1, 0), (0, 0)} and (3, 0) in c:
+            case, amap = _normalize_xy(c)
+        elif (0, 1) in c and (3, 0) in c and support <= {(0, 1), (3, 0), (2, 0), (1, 0), (0, 0)}:
+            case, amap = _normalize_yx3(c)
+        else:
+            raise Unsupported("cubic outside the recognized monomial patterns")
+    except InvalidParams as exc:  # the pattern matched, but not a case's parameter constraints
+        raise Unsupported(f"cubic outside the recognized families: {exc}") from exc
     _verify_map(case, amap, p)
     return case, amap
 
@@ -1216,60 +1219,35 @@ def _normalize_mixed(c0, ay, b, cy, lead):
     case are even in x, so the sign of lam does not matter; normalize
     certifies the map by the sampled pushforward.
     """
-
-    def try_case(cid, params, lam, mu):
-        try:
-            return make_case(cid, params), AffineMap(a=lam, e=mu)
-        except InvalidParams:
-            return None
-
     if abs(c0) < 1e-12 * lead:
         if abs(cy) < 1e-12 * lead:
             if abs(ay) < 1e-12 * lead:
                 raise Unsupported("degenerate conic through the origin")
             # y(ay*y + b*x^2): parabola through origin -> P17 (conic x^2 - y)
-            lam = 1.0 / math.sqrt(abs(b))
-            mu = -math.copysign(1.0, b) / ay
-            got = try_case("P17", {}, lam, mu)
-            if got:
-                return got
-            raise Unsupported("parabola-through-origin scaling failed")
+            return make_case("P17"), AffineMap(a=1.0 / math.sqrt(abs(b)),
+                                               e=-math.copysign(1.0, b) / ay)
         if abs(ay) < 1e-12 * lead:
             # y(b*x^2 + cy*y^2): three concurrent lines when signs differ
             if b * cy < 0:
-                got = try_case("P27", {}, 1.0 / math.sqrt(abs(b)), 1.0 / math.sqrt(abs(cy)))
-                if got:
-                    return got
+                return make_case("P27"), AffineMap(a=1.0 / math.sqrt(abs(b)),
+                                                   e=1.0 / math.sqrt(abs(cy)))
             raise Unsupported("x^2, y^2 conic without real lines")
         # y(ay*y + b*x^2 + cy*y^2) -> y(a2*y + x^2 +- y^2) via (lam*x, y)
         target_cy = 1.0 if b * cy > 0 else -1.0
-        cid = "P14" if target_cy > 0 else "P23"
         rho = target_cy / cy
-        lam = math.sqrt(rho * b)
-        a2 = rho * ay
-        got = try_case(cid, {"a": a2}, lam, 1.0)
-        if got:
-            return got
-        raise Unsupported("origin conic scaling failed")
+        return (make_case("P14" if target_cy > 0 else "P23", {"a": rho * ay}),
+                AffineMap(a=math.sqrt(rho * b), e=1.0))
     # constant term present: normalize it to 1
     ayn, bn, cyn = ay / c0, b / c0, cy / c0
     if abs(cyn) < 1e-12:
         if abs(ayn) < 1e-12:
             raise Unsupported("conic degenerates to parallel lines")
-        cid = "P19" if bn > 0 else "P20"
-        got = try_case(cid, {}, math.sqrt(abs(bn)), ayn)
-        if got:
-            return got
-        raise Unsupported("parabolic scaling failed")
+        return make_case("P19" if bn > 0 else "P20"), AffineMap(a=math.sqrt(abs(bn)), e=ayn)
     lam = math.sqrt(abs(bn))
     mu = math.sqrt(abs(cyn))
-    a2 = ayn / mu
     cid = {(True, True): "P15", (False, False): "P16", (True, False): "P24",
            (False, True): "P25"}[(bn > 0, cyn > 0)]
-    got = try_case(cid, {"a": a2}, lam, mu)
-    if got:
-        return got
-    raise Unsupported("mixed-type scaling failed")
+    return make_case(cid, {"a": ayn / mu}), AffineMap(a=lam, e=mu)
 
 
 def _match_up_to_scale(p, q, tol=1e-9):

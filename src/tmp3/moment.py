@@ -1,4 +1,5 @@
-"""Moment functionals on plane cubics and the full decision engine.
+"""Moment functionals on plane cubics, the decision engine, and the atomic
+measures read off the univariate lift.
 
 A functional is given by its moments beta[i, j] up to degree 2k.  Each
 Gram-type matrix of a (case, k) -- over B_k, over V^(k), over the lift
@@ -12,7 +13,8 @@ is decided in one routine (_singular): the case's rank theorem on the
 univariate lift, then a measure read off a flat completion of the lift that
 reproduces the moments.  P5 runs it on L and on L minus a point mass at its
 isolated point; the smooth Weierstrass forms use the unique degree-(2k+2)
-extension.
+extension.  The lift record (_Lift) is the only code that turns a lift
+into atoms, for decide and extract alike.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .bases import basis_Bk, basis_Rk1, basis_Vk, combined_lift
-from .curves import CurveCase, _mono_of_deg_c, chi_flags
+from .curves import CurveCase, _mono_of_deg_c, chi_flags, parametrization
 from .linalg import Interval, SymmetricForm, Tolerances
 from .poly import (_UNIT, BasisElement, BivarPoly, RationalElem, _entry, _factor, _exps,
                    _mon_index, _shift_index, _shifted, normal_low, product_on_curve)
@@ -136,9 +138,18 @@ _IDEAL_TOL = 1e-7  # decide's bound on the ideal residual, relative to the momen
 
 
 @lru_cache(maxsize=64)
+def _graded_exponents(k):
+    """(I, J): the exponents (i, j), i + j <= 2k, in the graded order of
+    poly._mon_index, as two read-only arrays."""
+    I, J = _exps(np.arange((k + 1) * (2 * k + 1), dtype=np.intp))
+    I.flags.writeable = J.flags.writeable = False
+    return I, J
+
+
+@lru_cache(maxsize=64)
 def _graded_keys(k):
-    """The exponents (i, j), i + j <= 2k, in graded order."""
-    return tuple((i, d - i) for d in range(2 * k + 1) for i in range(d + 1))
+    """The exponents of _graded_exponents(k) as (i, j) pairs of Python ints."""
+    return tuple(zip(*(a.tolist() for a in _graded_exponents(k))))
 
 
 @lru_cache(maxsize=64)
@@ -147,14 +158,6 @@ def _lower(n):
     the entries mirroring them above the diagonal."""
     r, c = np.tril_indices(n, -1)
     return r * n + c, c * n + r
-
-
-@lru_cache(maxsize=64)
-def _graded_exponents(k):
-    """(I, J): the exponents of _graded_keys(k) as two read-only arrays."""
-    I, J = np.array(_graded_keys(k), dtype=np.intp).T
-    I.flags.writeable = J.flags.writeable = False
-    return I, J
 
 
 def _beta_vector(L: MomentSequence):
@@ -358,6 +361,108 @@ def lift_matrix(L: MomentSequence, beta=None) -> SymmetricForm:
     return _form(L.case, L.k, "lift").matrix(_beta_vector(L) if beta is None else beta)
 
 
+# ---------------------------------------------------------------------------
+# Atomic measures
+
+
+class ExtractionFailed(RuntimeError):
+    pass
+
+
+@dataclass(frozen=True)
+class Atom:
+    x: float
+    y: float
+    w: float
+    component: int = 0
+
+
+@dataclass(frozen=True)
+class AtomicMeasure:
+    atoms: tuple
+
+    def __len__(self):
+        return len(self.atoms)
+
+    def moments(self, k) -> dict:
+        keys = _graded_keys(k)
+        if not self.atoms:
+            return dict.fromkeys(keys, 0)
+        return dict(zip(keys, _moment_sums(self.atoms, *_graded_exponents(k)).tolist()))
+
+
+def _moment_sums(atoms, I, J):
+    """sum(a.w * a.x**i * a.y**j for a in atoms) for each (i, j) in zip(I, J),
+    bit for bit: one Python power x**e per atom and exponent (numpy's power
+    rounds differently), (w * x^i) * y^j, and the sum over the atoms from 0
+    in their order (np.add.accumulate, which never pairs terms up)."""
+    if not atoms:
+        return np.zeros(len(I))
+    XP = np.array([[a.x**e for e in range(I.max() + 1)] for a in atoms])
+    YP = np.array([[a.y**e for e in range(J.max() + 1)] for a in atoms])
+    W = np.array([a.w for a in atoms])
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = W[:, None] * XP[:, I] * YP[:, J]
+        # a zero row first: the sum starts from 0, which turns a lone -0.0 into 0.0
+        return np.add.accumulate(np.vstack((np.zeros(len(I)), T)))[-1]
+
+
+def verify(mu: AtomicMeasure, L: MomentSequence) -> float:
+    """max relative deviation between the measure's moments and L's,
+    |m - beta| / max(1, |beta|); a NaN deviation is skipped, as max skips it."""
+    I, J = np.array(list(L.beta), dtype=np.intp).reshape(-1, 2).T
+    S = _moment_sums(mu.atoms, I, J)
+    B = np.array(list(L.beta.values()), dtype=float)
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(S - B) / np.fmax(1.0, np.abs(B))
+    return float(np.fmax.reduce(dev, initial=0.0))
+
+
+def _merged(atoms):
+    """(x, y, w) atoms with those on the same curve point (the node of P4) merged."""
+    out = []
+    for x, y, w in atoms:
+        for i, (xx, yy, ww) in enumerate(out):
+            if abs(x - xx) < 1e-8 * (1 + abs(x)) and abs(y - yy) < 1e-8 * (1 + abs(y)):
+                out[i] = (xx, yy, ww + w)
+                break
+        else:
+            out.append((x, y, w))
+    return out
+
+
+def _any_close(X, Y):
+    """Whether a point lies within _merged's tolerance of an earlier one (when
+    none does, _merged changes nothing)."""
+    with np.errstate(invalid="ignore"):
+        near = ((np.abs(X[:, None] - X) < 1e-8 * (1 + np.abs(X))[:, None])
+                & (np.abs(Y[:, None] - Y) < 1e-8 * (1 + np.abs(Y))[:, None]))
+    return bool(np.tril(near, -1).any())
+
+
+@dataclass(frozen=True)
+class ExtractOptions:
+    completion: str | None = None  # None (a flat endpoint) | midpoint | left | right | value
+    completion_value: float | None = None
+
+
+def _requested(ivl, opts: ExtractOptions):
+    """The completion value that ``opts`` asks for: a named point of the psd
+    interval ``ivl`` or the given value."""
+    if opts.completion == "value":
+        if opts.completion_value is None:
+            raise ValueError("completion mode 'value' needs completion_value")
+        return float(opts.completion_value)
+    frac = {"midpoint": 0.5, "left": 0.25, "right": 0.75}.get(opts.completion)
+    if frac is None:
+        raise ValueError(f"unknown completion mode {opts.completion!r}")
+    return ivl.lo + frac * ivl.width
+
+
+# ---------------------------------------------------------------------------
+# The univariate lift
+
+
 @lru_cache(maxsize=512)
 def _t_action(case: CurveCase, k: int):
     """(F', T'^T): multiplication by t on the lift basis of (case, k), over every
@@ -395,15 +500,11 @@ class _Lift:
     unknown pair, taken on first use: the pd and psd completion intervals and
     P5's Schur data read it.
 
-    The singular routine (its rank checks, root check and measure) and
-    extraction all read this record (a passing Decision carries it to
-    extract, and reads its split mass and interval off it).  ``target`` is
-    the functional the measure must reproduce: L itself, or, for a lift that
-    _p5_shift made, the functional L + o_weight * delta_0 it was split from.
-    A shifted record decomposes its own D.  ``measures`` maps each flat
-    completion v that was fitted to its (measure, residual) or its
-    ExtractionFailed (measure._flat_measure), so an endpoint is fitted and
-    verified once however often decide and extract read it.
+    Its measures (measure, extract) are read by decide's singular routine
+    and by extract, to which a passing Decision carries the record.
+    ``target`` is the functional the measure must reproduce: L itself, or,
+    for a lift that _p5_shift made, the functional L + o_weight * delta_0 it
+    was split from.  A shifted record decomposes its own D.
     """
 
     def __init__(self, L: MomentSequence, tol: Tolerances = linalg.DEFAULT_TOL,
@@ -432,6 +533,105 @@ class _Lift:
         W = V[:, keep] / np.sqrt(w[keep])
         C = W.T @ (Tt @ MF) @ W
         return np.linalg.eigvalsh(0.5 * (C + C.T))
+
+    def measure(self, v):
+        """(measure, verify residual) at the flat completion v, fitted once:
+        ``measures`` keeps the result of _fit, or its ExtractionFailed, which
+        every later read raises again."""
+        got = self.measures.get(v)
+        if got is None:
+            try:
+                got = self._fit(v)
+            except ExtractionFailed as exc:
+                got = exc
+            self.measures[v] = got
+        if isinstance(got, ExtractionFailed):
+            raise got.with_traceback(None)
+        return got
+
+    def _fit(self, v):
+        """The measure at the flat completion v and its residual: the nodes
+        that are not excluded parameters, pushed onto the curve and merged
+        where they meet, weighted by a least-squares fit to the moments of
+        ``L``, with the split mass ``o_weight`` at the origin.  Accepted when
+        every weight is positive and the moments of ``target`` are reproduced
+        to 1e-6 (``verify``)."""
+        L = self.target
+        comp = parametrization(L.case).components[0]
+        T = self.nodes(v)
+        for ex in comp.excluded_t:
+            T = T[np.abs(T - ex) >= 1e-6]
+        if not len(T):
+            raise ExtractionFailed("no admissible node")
+        # UnivarPoly.eval runs its Horner steps on the whole array of nodes
+        X = comp.x_num.eval(T) / comp.x_den.eval(T)
+        Y = comp.y_num.eval(T) / comp.y_den.eval(T)
+        if _any_close(X, Y):
+            X, Y, _ = np.array(_merged(list(zip(X, Y, np.zeros(len(T)))))).T
+        b = self.beta
+        # rows scaled as verify weighs them, columns to unit norm: a far atom
+        # carries a tiny weight and must not swamp the others' columns
+        s = np.maximum(1.0, np.abs(b))
+        I, J = _graded_exponents(L.k)
+        # a scalar exponent per power: an array of exponents rounds some entries differently
+        XP = np.array([X**e for e in range(2 * L.k + 1)])
+        YP = np.array([Y**e for e in range(2 * L.k + 1)])
+        A = XP[I] * YP[J] / s[:, None]
+        c = np.linalg.norm(A, axis=0)
+        w = np.linalg.lstsq(A / c, b / s, rcond=None)[0] / c
+        if w.min() <= 0:
+            raise ExtractionFailed(f"nonpositive weight {w.min():.3g}")
+        atoms = list(zip(X.tolist(), Y.tolist(), w.tolist()))
+        if self.o_weight > 1e-12:
+            atoms.append((0.0, 0.0, self.o_weight))
+        mu = AtomicMeasure(tuple(Atom(x, y, w) for x, y, w in atoms))
+        resid = verify(mu, L)
+        if not resid < 1e-6:
+            raise ExtractionFailed(f"verification residual {resid:.3g}")
+        return mu, resid
+
+    def extract(self, opts: ExtractOptions | None = None) -> tuple:
+        """(measure, verify residual) for ``target``.
+
+        The measures live at the flat completions, the endpoints of the psd
+        interval: by default the first endpoint whose measure is accepted is
+        returned, with at most 3k atoms besides the origin.  A requested
+        completion v is the convex combination of the two endpoint measures
+        whose unknown pair is v (the lift is affine in v); ``value`` needs
+        both, the named points fall back to an endpoint.
+        """
+        opts = opts or ExtractOptions()
+        ivl = self.completion.psd
+        if ivl.empty:
+            raise ExtractionFailed("no psd completion of the lifted matrix")
+        theta = None
+        if opts.completion is not None:
+            v = _requested(ivl, opts)
+            if ivl.width > 0:
+                theta = (v - ivl.lo) / ivl.width
+            else:
+                theta = 0.0 if abs(v - ivl.lo) <= 1e-9 * max(1.0, abs(ivl.lo)) else math.inf
+            if not -1e-9 <= theta <= 1 + 1e-9:
+                raise ExtractionFailed(f"completion value {v:.6g} lies outside the psd interval")
+            theta = min(max(theta, 0.0), 1.0)
+        found, errors = [], []
+        for v in ((ivl.lo,) if ivl.width == 0.0 else (ivl.lo, ivl.hi)):
+            try:
+                found.append(self.measure(v))
+            except ExtractionFailed as exc:
+                errors.append(f"v={v:.6g}: {exc}")
+                continue
+            if theta is None:
+                return found[0]
+        if theta is not None and not errors:
+            parts = [(a.x, a.y, a.w * share)
+                     for (mu, _), share in zip(found, (1 - theta, theta)) for a in mu.atoms]
+            mu = AtomicMeasure(tuple(Atom(x, y, w) for x, y, w in _merged(parts) if w > 0))
+            return mu, verify(mu, self.target)
+        if found and opts.completion != "value":
+            return found[0]
+        raise ExtractionFailed(
+            "no flat completion produced an admissible measure: " + "; ".join(errors))
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +779,6 @@ def _singular(work, checks, prefix=""):
     its check is kept only on a pass).  The rank checks of P5's lambda0:
     branch are named after it: rank_restriction_B_lambda0.
     """
-    from . import measure
-
     case = work.L.case
     if case.record.route in ("lift", "isolated"):
         name, root = case.record.lift_check(case.params) or (None, None)
@@ -597,8 +795,8 @@ def _singular(work, checks, prefix=""):
             return Decision("MomentFunctional", checks, lift=work,
                             singular_branch=prefix + ("rank_B" if okB else "rank_V"))
     try:
-        _, resid = measure._extract_from_lift(work)
-    except (measure.ExtractionFailed, ArithmeticError, ValueError):  # LinAlgError is a ValueError
+        _, resid = work.extract()
+    except (ExtractionFailed, ArithmeticError, ValueError):  # LinAlgError is a ValueError
         return None
     checks.append(Check("constructive_witness", "residual", True, -resid))
     return Decision("MomentFunctional", checks,

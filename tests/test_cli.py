@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_verify
-from tmp3 import make_case, measure
+from tmp3 import make_case, moment
 from tmp3.bases import basis_Bk
 from tmp3.cli import dump_problem, run
 from tmp3.measure import Atom, AtomicMeasure, generate
@@ -60,7 +60,7 @@ class TestSolve:
         endpoint, and the residual equals the loop's value on the report."""
         path, L, _ = _write_problem(tmp_path, cid=cid, k=k, seed=0, atoms=atoms)
         fits, verifies, inside = [], [], [False]
-        real_fit, real_verify = measure._fit, measure.verify
+        real_fit, real_verify = moment._Lift._fit, moment.verify
 
         def counting_fit(work, v):
             fits.append(v)
@@ -74,8 +74,8 @@ class TestSolve:
             verifies.append(inside[0])
             return real_verify(*args)
 
-        monkeypatch.setattr(measure, "_fit", counting_fit)
-        monkeypatch.setattr(measure, "verify", counting_verify)
+        monkeypatch.setattr(moment._Lift, "_fit", counting_fit)
+        monkeypatch.setattr(moment, "verify", counting_verify)
         code, out = _run(capsys, "solve", "--input", str(path), "--extract")
         rep = json.loads(out)
         assert code == 0 and rep["measure"] is not None

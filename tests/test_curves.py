@@ -244,6 +244,14 @@ class TestNormalize:
         with pytest.raises(Unsupported):
             normalize(_M(3, 0) + _M(0, 3) - _C(1.0))
 
+    @pytest.mark.parametrize("p", [_M(1, 2) + _M(0, 1) - _M(1, 0) - _C(1.0),  # (y-1)(xy+x+1)
+                                   _M(1, 2) - _M(1, 0)])  # x(y-1)(y+1)
+    def test_reducible_newton_pattern_unsupported(self, p):
+        """Reducible cubics of the Newton pattern that P6's parameter checks
+        reject are Unsupported, not InvalidParams."""
+        with pytest.raises(Unsupported, match="P6"):
+            normalize(p)
+
     def test_newton_family_scaling(self):
         # x y^2 + y - 4 x^3 - 2: the b>0, a != 0 family, e != 0 so valid
         p = _M(1, 2) + _M(0, 1) - _M(3, 0, 4.0) - _C(2.0)

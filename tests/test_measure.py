@@ -11,7 +11,6 @@ from tmp3.measure import (
     ExtractOptions,
     ExtractionFailed,
     NoWitness,
-    _extract_from_lift,
     extract,
     generate,
     generate_measure,
@@ -32,12 +31,12 @@ def _p13_lift(ts, ws, k):
 
 
 def _extracted(lift, opts=None):
-    """The measure of _extract_from_lift, without its residual."""
-    return _extract_from_lift(lift, opts)[0]
+    """The measure of _Lift.extract, without its residual."""
+    return lift.extract(opts)[0]
 
 
 class TestFlatMeasure:
-    """The measure of a lift at its flat completions (_extract_from_lift)."""
+    """The measure of a lift at its flat completions (_Lift.extract)."""
 
     def test_two_atoms(self):
         # delta_-1 + 2*delta_1 on x = t
@@ -67,7 +66,7 @@ class TestFlatMeasure:
         lift = _p13_lift([0.5, 1.0], [1.0, -1.0], 2)
         assert lift.completion.psd.empty
         with pytest.raises(ExtractionFailed, match="no psd completion"):
-            _extract_from_lift(lift)
+            lift.extract()
 
     def test_flat_exactness_separated(self):
         rng = np.random.default_rng(5)
@@ -161,8 +160,7 @@ class TestRequestedCompletion:
         _, lift = self._lift()
         v = lift.completion.psd.hi + lift.completion.psd.width
         with pytest.raises(ExtractionFailed, match="outside the psd interval"):
-            _extract_from_lift(lift, opts=ExtractOptions(completion="value",
-                                                        completion_value=v))
+            lift.extract(ExtractOptions(completion="value", completion_value=v))
 
 
 #: genuine 3k+1-atom data at k = 5, 6 that the monomial-Hankel extraction

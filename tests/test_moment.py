@@ -3,7 +3,7 @@ import pytest
 
 from conftest import (CASE_PARAMS, CONSTRUCTIVE, P6_VARIANTS, bench_corpus, clear_tables,
                       reference_product)
-from tmp3 import linalg, make_case, measure, moment, poly
+from tmp3 import linalg, make_case, moment, poly
 from tmp3.bases import basis_Bk, basis_Rk1, basis_Vk, combined_lift
 from tmp3.curves import chi_flags, sample_points
 from tmp3.measure import Atom, AtomicMeasure, extract, generate, generate_measure, verify
@@ -652,7 +652,7 @@ def test_lift_assembled_once_per_functional(monkeypatch, cid, params, k, n, seed
     assembled, forms, decomposed, eigs, pinvs = [], [], [], [], []
     real_lift, real_eig, real_pinv = moment.lift_matrix, np.linalg.eigvalsh, linalg.pinv_cutoff
     real_completion = linalg.completion_interval
-    real_fit, real_lstsq, real_verify = measure._fit, np.linalg.lstsq, measure.verify
+    real_fit, real_lstsq, real_verify = moment._Lift._fit, np.linalg.lstsq, moment.verify
     fits, lstsqs, verifies, inside = [], [], [], [None]
 
     def counting_lift(L, *args, **kwargs):
@@ -693,9 +693,9 @@ def test_lift_assembled_once_per_functional(monkeypatch, cid, params, k, n, seed
     monkeypatch.setattr(linalg, "completion_interval", counting_completion)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eig)
     monkeypatch.setattr(linalg, "pinv_cutoff", counting_pinv)
-    monkeypatch.setattr(measure, "_fit", counting_fit)
+    monkeypatch.setattr(moment._Lift, "_fit", counting_fit)
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
-    monkeypatch.setattr(measure, "verify", counting_verify)
+    monkeypatch.setattr(moment, "verify", counting_verify)
     dec = decide(L)
     assert (dec.verdict, dec.singular_branch) == (verdict, branch)
     row = (cid, params, k, n, seed, w0, verdict, branch)

@@ -144,6 +144,15 @@ class TestProductOnCurve:
         assert p is not None and p.allclose(_M(0, 2))
         assert normal_low(p - _M(3, 0), case).is_zero(1e-12)
 
+    def test_constant_denominator_scales(self):
+        """x/2 * y on P4 is 0.5 * xy: a constant denominator c scales the
+        reduced numerator by 1/c, term by term in the same order."""
+        case = make_case("P4")
+        p = product_on_curve(RationalElem(_M(1, 0), _C(2.0)), _M(0, 1), _C(1.0), case, 2)
+        q = product_on_curve(_M(1, 1), _C(1.0), _C(1.0), case, 2)
+        assert list(p.coeffs.items()) == [(m, 0.5 * c) for m, c in q.coeffs.items()]
+        assert p.coeffs == {(1, 1): 0.5}
+
     def test_neile_unknown_pair(self):
         case = make_case("P3")
         yx = RationalElem(_M(0, 1), _M(1, 0))
